@@ -1,5 +1,5 @@
 // Shared CLI surface for the tools and benches (helios_sim, helios_fuzz,
-// bench_perf, the figure benches): one place for the flag names every tool
+// the figure benches): one place for the flag names every tool
 // spells the same way (--jobs, --json_out, --seeds, --protocols), the CSV
 // list parsers each binary used to hand-roll, and the common
 // parse/help/exit choreography.

@@ -26,13 +26,6 @@ bool MutationSkipStagedResolution() {
   return on;
 }
 
-/// Env-gated diagnostic: set HELIOS_DEBUG_XSHARD=1 to print every
-/// cross-shard abort with its reason to stderr (livelock triage).
-bool DebugXshard() {
-  static const bool on = std::getenv("HELIOS_DEBUG_XSHARD") != nullptr;
-  return on;
-}
-
 }  // namespace
 
 ShardedCluster::ShardedCluster(sim::Scheduler* scheduler,
@@ -223,10 +216,6 @@ void ShardedCluster::Advance(const TxnId& id) {
     }
     const std::string reason =
         x.abort_reason.empty() ? "xshard:abort" : x.abort_reason;
-    if (DebugXshard()) {
-      std::fprintf(stderr, "XABORT %d:%llu %s\n", id.origin,
-                   static_cast<unsigned long long>(id.seq), reason.c_str());
-    }
     CommitCallback done = std::move(x.done);
     inflight_.erase(it);
     scheduler_->After(link, [done = std::move(done), id, reason]() {

@@ -35,7 +35,6 @@
 #include "transport/realtime_loop.h"
 #include "transport/tcp_transport.h"
 #include "wal/file_wal.h"
-#include "wal/wal.h"
 #include "wire/serialization.h"
 
 namespace helios::transport {
@@ -86,15 +85,6 @@ class LiveDatacenter {
   /// state from it (truncating a torn tail). Call before Start; after
   /// Start() a recovered node additionally catches up from its peers.
   Status EnableWal(const std::string& path, const wal::FileWalOptions& opts);
-
-  /// Back-compat convenience: fsync_each_record maps onto
-  /// SyncPolicy::{kEveryRecord,kOsBuffered}.
-  Status EnableWal(const std::string& path, bool fsync_each_record = false) {
-    wal::FileWalOptions opts;
-    opts.policy = fsync_each_record ? wal::SyncPolicy::kEveryRecord
-                                    : wal::SyncPolicy::kOsBuffered;
-    return EnableWal(path, opts);
-  }
 
   /// Arms overload protection for Commit(). With a full in-flight budget
   /// or a loop backlog past the watermark, Commit rejects synchronously

@@ -35,16 +35,67 @@ const char* SyncPolicyName(SyncPolicy policy) {
 FileWal::~FileWal() { Close(); }
 
 Status FileWal::Open(const std::string& path, const FileWalOptions& options) {
+  Close();
   options_ = options;
   dirty_ = false;
   last_fsync_ = std::chrono::steady_clock::now();
-  return writer_.Open(path);
+  file_ = std::fopen(path.c_str(), "ab");
+  if (file_ == nullptr) {
+    return Status::Internal("cannot open WAL " + path + ": " +
+                            std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
+Status FileWal::AppendEntry(EntryType type, const EncodePayloadFn& encode) {
+  if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");
+  // Single-buffer framing: the payload is encoded in place after a
+  // fixed-width length placeholder that is patched once the size is
+  // known, so one reused buffer and one fwrite cover the whole entry.
+  scratch_.Clear();
+  wire::Writer w(&scratch_);
+  w.PutFixed32(kEntryMagic);
+  w.PutU8(static_cast<uint8_t>(type));
+  const size_t len_at = w.offset();
+  w.PutFixed32(0);  // Payload length, patched below.
+  const size_t payload_at = w.offset();
+  encode(&w);
+  const size_t payload_len = w.offset() - payload_at;
+  w.PatchFixed32(len_at, static_cast<uint32_t>(payload_len));
+  w.PutFixed32(wire::Crc32(scratch_.data() + payload_at, payload_len));
+  if (std::fwrite(scratch_.data(), 1, scratch_.size(), file_) !=
+      scratch_.size()) {
+    return Status::Internal("WAL write failed");
+  }
+  ++entries_appended_;
+  bytes_written_ += scratch_.size();
+  return AfterAppend();
+}
+
+Status FileWal::AppendRecord(const rdict::LogRecord& record) {
+  return AppendEntry(EntryType::kLogRecord, [&record](wire::Writer* w) {
+    wire::EncodeLogRecord(record, w);
+  });
+}
+
+Status FileWal::AppendTimetable(const rdict::Timetable& table) {
+  return AppendEntry(EntryType::kTimetable, [&table](wire::Writer* w) {
+    wire::EncodeTimetable(table, w);
+  });
+}
+
+Status FileWal::Flush(bool fsync_to_disk) {
+  if (std::fflush(file_) != 0) return Status::Internal("WAL flush failed");
+  if (fsync_to_disk && ::fsync(::fileno(file_)) != 0) {
+    return Status::Internal("WAL fsync failed");
+  }
+  return Status::Ok();
 }
 
 Status FileWal::AfterAppend() {
   switch (options_.policy) {
     case SyncPolicy::kEveryRecord: {
-      Status s = writer_.Sync(/*fsync_to_disk=*/true);
+      Status s = Flush(/*fsync_to_disk=*/true);
       if (s.ok()) ++fsyncs_;
       return s;
     }
@@ -53,10 +104,10 @@ Status FileWal::AfterAppend() {
       const auto now = std::chrono::steady_clock::now();
       if (now - last_fsync_ < options_.group_commit_interval) {
         // Flush to the OS so the bytes survive *process* death; the disk
-        // flush waits for the group-commit tick.
-        return writer_.Sync(/*fsync_to_disk=*/false);
+        // flush waits for the next append past the interval.
+        return Flush(/*fsync_to_disk=*/false);
       }
-      Status s = writer_.Sync(/*fsync_to_disk=*/true);
+      Status s = Flush(/*fsync_to_disk=*/true);
       if (s.ok()) {
         ++fsyncs_;
         dirty_ = false;
@@ -65,26 +116,14 @@ Status FileWal::AfterAppend() {
       return s;
     }
     case SyncPolicy::kOsBuffered:
-      return writer_.Sync(/*fsync_to_disk=*/false);
+      return Flush(/*fsync_to_disk=*/false);
   }
   return Status::Internal("unreachable");
 }
 
-Status FileWal::AppendRecord(const rdict::LogRecord& record) {
-  Status s = writer_.AppendRecord(record);
-  if (!s.ok()) return s;
-  return AfterAppend();
-}
-
-Status FileWal::AppendTimetable(const rdict::Timetable& table) {
-  Status s = writer_.AppendTimetable(table);
-  if (!s.ok()) return s;
-  return AfterAppend();
-}
-
 Status FileWal::SyncToDisk() {
-  if (!writer_.is_open()) return Status::FailedPrecondition("WAL not open");
-  Status s = writer_.Sync(/*fsync_to_disk=*/true);
+  if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");
+  Status s = Flush(/*fsync_to_disk=*/true);
   if (s.ok()) {
     ++fsyncs_;
     dirty_ = false;
@@ -94,8 +133,11 @@ Status FileWal::SyncToDisk() {
 }
 
 void FileWal::Close() {
-  if (writer_.is_open() && dirty_) (void)SyncToDisk();
-  writer_.Close();
+  if (file_ == nullptr) return;
+  if (dirty_) (void)SyncToDisk();
+  std::fflush(file_);
+  std::fclose(file_);
+  file_ = nullptr;
 }
 
 namespace {

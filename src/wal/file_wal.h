@@ -1,18 +1,28 @@
-// FileWal: the production file-backed WAL for live deployments (heliosd,
-// transport::LiveDatacenter).
+// FileWal: the file-backed write-ahead log for live deployments (heliosd,
+// transport::LiveDatacenter): durable, append-only persistence for a
+// datacenter's share of the replicated log, enabling restart recovery
+// ("until the datacenter is back up again and Helios is recovered",
+// Section 4.4).
 //
-// Builds on the CRC32-framed entry format of wal.h (one `magic | type |
-// len | payload | crc32` frame per record — the files are byte-compatible
-// with WalWriter's) and adds the two things a daemon needs that the
-// simulator's sinks don't:
+// Every appended entry is framed as
+//     u32 magic | u8 type | u32 payload_len | payload | u32 crc32(payload)
+// where the payload is a wire-serialized LogRecord or a timetable
+// snapshot. The recovery contract: replaying a WAL reproduces exactly the
+// sequence of records the node had locally appended or ingested, in
+// order, plus the latest persisted timetable — enough to rebuild the
+// ReplicatedLog, replay committed write sets into the store, and rejoin
+// the gossip without ever reusing a timestamp.
+//
+// On top of the framing, a daemon needs two things the simulator's
+// MemoryWal does not:
 //
 //  * A configurable fsync policy. `kEveryRecord` fsyncs after each append
 //    (a record is durable before the client ever sees "committed";
 //    ~one disk flush per commit). `kGroupCommit` flushes to the OS on
-//    every append but fsyncs at most once per `group_commit_interval`,
-//    batching many commits into one flush — bounded-loss durability at a
-//    fraction of the cost. `kOsBuffered` never fsyncs (flush-to-OS only);
-//    data survives process death but not host death.
+//    every append but fsyncs only on an append that comes at least
+//    `group_commit_interval` after the last fsync, batching many commits
+//    into one flush. `kOsBuffered` never fsyncs (flush-to-OS only); data
+//    survives process death but not host death.
 //
 //  * Crash-consistent recovery. `RecoverFileWal` distinguishes the two
 //    corruption shapes a real disk produces: a torn tail (the process died
@@ -28,13 +38,25 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
-#include "wal/wal.h"
+#include "rdict/record.h"
+#include "rdict/timetable.h"
 #include "wal/wal_sink.h"
+#include "wire/buffer.h"
+#include "wire/codec.h"
 
 namespace helios::wal {
+
+inline constexpr uint32_t kEntryMagic = 0x57414C31;  // "WAL1"
+
+enum class EntryType : uint8_t {
+  kLogRecord = 1,
+  kTimetable = 2,
+};
 
 enum class SyncPolicy : uint8_t {
   kOsBuffered = 0,   ///< fflush only; no fsync (fastest, least durable).
@@ -44,7 +66,12 @@ enum class SyncPolicy : uint8_t {
 
 struct FileWalOptions {
   SyncPolicy policy = SyncPolicy::kGroupCommit;
-  /// Maximum time appended records may sit un-fsynced under kGroupCommit.
+  /// Minimum spacing of fsyncs under kGroupCommit. FileWal has no timer:
+  /// an append fsyncs (covering every record before it) only if this much
+  /// time has passed since the last fsync, so a record stays un-fsynced
+  /// until the next such append. A running node appends at least a
+  /// timetable checkpoint every GC tick (HeliosConfig::gc_interval,
+  /// 500 ms by default), which bounds that wait.
   std::chrono::microseconds group_commit_interval{5000};
 };
 
@@ -66,7 +93,11 @@ class FileWal : public WalSink {
   /// tail left in place would corrupt the frame stream.
   Status Open(const std::string& path, const FileWalOptions& options = {});
 
+  /// Appends one replicated-log record.
   Status AppendRecord(const rdict::LogRecord& record) override;
+
+  /// Appends a timetable snapshot (checkpointing knowledge so recovery
+  /// does not have to re-learn it from peers).
   Status AppendTimetable(const rdict::Timetable& table) override;
 
   /// Forces everything appended so far to disk regardless of policy
@@ -74,22 +105,33 @@ class FileWal : public WalSink {
   Status SyncToDisk();
 
   void Close();
-  bool is_open() const { return writer_.is_open(); }
+  bool is_open() const { return file_ != nullptr; }
   const FileWalOptions& options() const { return options_; }
-  uint64_t entries_appended() const override {
-    return writer_.entries_appended();
-  }
-  uint64_t bytes_written() const { return writer_.bytes_written(); }
+  uint64_t entries_appended() const override { return entries_appended_; }
+  uint64_t bytes_written() const { return bytes_written_; }
   /// fsync() calls actually issued (group commit batches many appends
   /// into one).
   uint64_t fsyncs() const { return fsyncs_; }
 
  private:
+  using EncodePayloadFn = std::function<void(wire::Writer*)>;
+
+  /// Frames one entry into the reused scratch buffer (payload encoded in
+  /// place; length patched after the fact), writes it with one fwrite,
+  /// then applies the policy.
+  Status AppendEntry(EntryType type, const EncodePayloadFn& encode);
+
+  /// Flushes buffered writes to the OS and optionally fsyncs.
+  Status Flush(bool fsync_to_disk);
+
   /// Applies the policy after one append.
   Status AfterAppend();
 
-  WalWriter writer_;
+  std::FILE* file_ = nullptr;
+  wire::Buffer scratch_;
   FileWalOptions options_;
+  uint64_t entries_appended_ = 0;
+  uint64_t bytes_written_ = 0;
   uint64_t fsyncs_ = 0;
   bool dirty_ = false;  ///< Appends since the last fsync.
   std::chrono::steady_clock::time_point last_fsync_{};

@@ -7,9 +7,9 @@
 //    outside the node object, so it survives the amnesia restart that a
 //    fault-plan `crash` event performs — crash wipes the node, recovery
 //    replays `contents()` through `HeliosNode::Restore()`.
-//  * `wal::WalWriter` (wal.h): the file-backed WAL used by the live
-//    `transport::Datacenter` deployment, with CRC-framed entries and
-//    torn-tail detection.
+//  * `wal::FileWal` (file_wal.h): the file-backed WAL used by the live
+//    `transport::LiveDatacenter` deployment, with CRC-framed entries, an
+//    fsync policy, and torn-tail repair in `RecoverFileWal`.
 //
 // The sink is deliberately free of simulation side effects: appending
 // never schedules events, draws randomness, or touches counters that are
@@ -28,8 +28,8 @@
 
 namespace helios::wal {
 
-/// Everything a WAL replay recovers. (Shared by `MemoryWal` and the
-/// file-backed `ReplayWal()` in wal.h.)
+/// Everything a WAL replay recovers. (Shared by `MemoryWal` and
+/// `RecoverFileWal()` in file_wal.h.)
 struct WalContents {
   std::vector<rdict::LogRecord> records;  ///< In append order.
   /// Latest timetable snapshot, if any was persisted.

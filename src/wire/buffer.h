@@ -3,9 +3,7 @@
 // Buffer is the storage half of the wire::Writer API: a growable byte
 // sink whose Clear() keeps its capacity, so a long-lived Buffer reaches a
 // high-water mark after a few messages and every encode after that is
-// allocation-free. Encoder (wire/codec.h) remains the legacy owning
-// interface; new hot-path code should hold a Buffer and encode into it
-// with a Writer.
+// allocation-free. Hold a Buffer and encode into it with a Writer.
 
 #ifndef HELIOS_WIRE_BUFFER_H_
 #define HELIOS_WIRE_BUFFER_H_
@@ -59,11 +57,8 @@ class Buffer {
                   static_cast<const uint8_t*>(p) + n);
   }
 
-  /// Explicit copy out, for interop with legacy std::vector interfaces.
+  /// Explicit copy out, for interop with std::vector interfaces.
   std::vector<uint8_t> ToVector() const { return bytes_; }
-
-  /// Moves the storage out (the buffer is left empty with no capacity).
-  std::vector<uint8_t> ReleaseVector() { return std::move(bytes_); }
 
   const std::vector<uint8_t>& vec() const { return bytes_; }
 

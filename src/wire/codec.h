@@ -1,15 +1,12 @@
-// Low-level wire codec: byte sinks and a bounds-checked byte source with
+// Low-level wire codec: a byte sink and a bounds-checked byte source with
 // varint/zigzag integer encodings, used by the message serialization in
 // wire/serialization.h. All decode paths return Status instead of
 // crashing on malformed input.
 //
-// Two write-side interfaces share one encoding implementation:
-//  - Writer appends into a caller-owned wire::Buffer. Holding the Buffer
-//    across messages and Clear()ing between them makes steady-state
-//    encoding allocation-free; this is the hot-path API.
-//  - Encoder is the legacy owning sink (allocates a fresh vector per
-//    instance). Kept for one-shot call sites, equivalence tests, and as
-//    the "before" leg of the wire benchmarks.
+// Writer appends into a caller-owned wire::Buffer. Holding the Buffer
+// across messages and Clear()ing between them makes steady-state encoding
+// allocation-free. Decoder reads from a borrowed byte span, so decoding
+// copies nothing either.
 
 #ifndef HELIOS_WIRE_CODEC_H_
 #define HELIOS_WIRE_CODEC_H_
@@ -52,33 +49,6 @@ class Writer {
   Buffer* out_;
 };
 
-/// Append-only byte sink that owns its storage (legacy API; see file
-/// comment). Internally a Buffer + Writer, so both paths encode
-/// identically by construction.
-class Encoder {
- public:
-  Encoder() : writer_(&buf_) {}
-
-  void PutU8(uint8_t v) { writer_.PutU8(v); }
-  void PutFixed32(uint32_t v) { writer_.PutFixed32(v); }
-  void PutFixed64(uint64_t v) { writer_.PutFixed64(v); }
-  void PutVarint(uint64_t v) { writer_.PutVarint(v); }
-  void PutSignedVarint(int64_t v) { writer_.PutSignedVarint(v); }
-  void PutString(const std::string& s) { writer_.PutString(s); }
-  void PutBool(bool v) { writer_.PutBool(v); }
-  void PutRaw(const void* data, size_t len) { writer_.PutRaw(data, len); }
-
-  const std::vector<uint8_t>& bytes() const { return buf_.vec(); }
-  std::vector<uint8_t> Release() { return buf_.ReleaseVector(); }
-  size_t size() const { return buf_.size(); }
-
-  Writer* writer() { return &writer_; }
-
- private:
-  Buffer buf_;
-  Writer writer_;
-};
-
 /// Bounds-checked byte source over a borrowed buffer.
 class Decoder {
  public:
@@ -104,10 +74,6 @@ class Decoder {
   size_t len_;
   size_t pos_ = 0;
 };
-
-/// Read-side name paired with Writer. Decoding was already copy-free
-/// (borrowed buffer), so the reader is the same class under both names.
-using Reader = Decoder;
 
 /// CRC-32 (ISO-HDLC polynomial) over a byte span.
 uint32_t Crc32(const uint8_t* data, size_t len);

@@ -305,13 +305,6 @@ void FrameEnvelopeInto(const core::Envelope& env, Buffer* scratch,
   frame.PutFixed32(Crc32(*scratch));
 }
 
-std::vector<uint8_t> FrameEnvelope(const core::Envelope& env) {
-  Buffer scratch;
-  Buffer out;
-  FrameEnvelopeInto(env, &scratch, &out);
-  return out.ReleaseVector();
-}
-
 Result<core::Envelope> UnframeEnvelope(const uint8_t* data, size_t len) {
   Decoder dec(data, len);
   uint32_t magic = 0;

@@ -15,10 +15,7 @@
 //
 // Encoding API: every Encode* takes a wire::Writer, which appends into a
 // caller-owned reusable Buffer — a send loop that keeps its Buffer (or a
-// Framer) across messages does zero steady-state allocation. The Encoder
-// overloads and the vector-returning FrameEnvelope are the legacy
-// allocate-per-call surface, kept for one-shot call sites, equivalence
-// tests, and the "before" leg of bench_perf's wire benchmarks.
+// Framer) across messages does zero steady-state allocation.
 
 #ifndef HELIOS_WIRE_SERIALIZATION_H_
 #define HELIOS_WIRE_SERIALIZATION_H_
@@ -59,26 +56,6 @@ Status DecodeLogMessage(Decoder* dec, rdict::LogMessage* out);
 void EncodeEnvelope(const core::Envelope& env, Writer* w);
 Status DecodeEnvelope(Decoder* dec, core::Envelope* out);
 
-// Legacy Encoder overloads (same bytes; Encoder wraps a Writer).
-inline void EncodeTxnId(const TxnId& id, Encoder* enc) {
-  EncodeTxnId(id, enc->writer());
-}
-inline void EncodeTxnBody(const TxnBody& body, Encoder* enc) {
-  EncodeTxnBody(body, enc->writer());
-}
-inline void EncodeLogRecord(const rdict::LogRecord& rec, Encoder* enc) {
-  EncodeLogRecord(rec, enc->writer());
-}
-inline void EncodeTimetable(const rdict::Timetable& table, Encoder* enc) {
-  EncodeTimetable(table, enc->writer());
-}
-inline void EncodeLogMessage(const rdict::LogMessage& msg, Encoder* enc) {
-  EncodeLogMessage(msg, enc->writer());
-}
-inline void EncodeEnvelope(const core::Envelope& env, Encoder* enc) {
-  EncodeEnvelope(env, enc->writer());
-}
-
 // --- Framing ----------------------------------------------------------------
 
 /// Encodes `env` framed + checksummed into `out` (appended after Clear;
@@ -102,10 +79,6 @@ class Framer {
   Buffer payload_;
   Buffer frame_;
 };
-
-/// Legacy one-shot framing: serializes an envelope into a fresh framed,
-/// checksummed byte string (allocates per call).
-std::vector<uint8_t> FrameEnvelope(const core::Envelope& env);
 
 /// Parses a framed envelope; verifies magic, version, and CRC.
 Result<core::Envelope> UnframeEnvelope(const uint8_t* data, size_t len);

@@ -157,6 +157,13 @@ TEST(ClusterSpecTest, ShardedValidationCatchesPortCollisionsAndBadCounts) {
   EXPECT_FALSE(overflow.Validate().ok());
 }
 
+TEST(ClusterSpecTest, MissingFsyncDefaultsToGroupCommit) {
+  auto parsed = ClusterSpec::FromJson("{\"datacenters\":[{\"port\":7101}]}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().wal_options.policy, wal::SyncPolicy::kGroupCommit);
+  EXPECT_EQ(parsed.value().wal_options.group_commit_interval.count(), 5000);
+}
+
 TEST(ClusterSpecTest, BadFsyncSpellingRejected) {
   EXPECT_FALSE(
       ClusterSpec::FromJson("{\"datacenters\":[],\"fsync\":\"always\"}")

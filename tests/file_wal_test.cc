@@ -12,7 +12,6 @@
 
 #include "txn/transaction.h"
 #include "wal/file_wal.h"
-#include "wal/wal.h"
 
 namespace helios::wal {
 namespace {

@@ -274,6 +274,42 @@ TEST(CrossShardCommit, ContendedTinyKeyspaceStillCommits) {
   EXPECT_GT(waited->value, 0u);
 }
 
+// --- Capacity: a second shard adds throughput --------------------------------
+
+/// Committed transactions per simulated second on a disjoint-key workload
+/// (key_partitions=2: every transaction stays inside one contiguous half
+/// of the keyspace), unsharded or over `shards` range shards. Counting in
+/// simulated time makes the figure deterministic and independent of the
+/// host: it measures the modeled capacity of an extra log/apply plane
+/// (docs/SHARDING.md), not machine speed.
+double CommittedPerSimSecond(int shards) {
+  hns::ExperimentSpec spec;
+  spec.WithProtocol(hns::Protocol::kHelios1)
+      .WithClients(300)
+      .WithNumKeys(20000)
+      .WithKeyPartitions(2)
+      .WithWarmup(Seconds(1))
+      .WithMeasure(Seconds(1))
+      .WithSeed(42);
+  if (shards > 1) spec.WithShards(shards).WithShardBy("range");
+  auto cfg = spec.ToConfig();
+  EXPECT_TRUE(cfg.ok()) << cfg.status().ToString();
+  if (!cfg.ok()) return 0;
+  const hns::ExperimentResult result = hns::RunExperiment(cfg.value());
+  uint64_t committed = 0;
+  for (const auto& dc : result.per_dc) committed += dc.committed;
+  const double measured_s = static_cast<double>(spec.measure) / Seconds(1);
+  return static_cast<double>(committed) / measured_s;
+}
+
+TEST(ShardScaling, TwoRangeShardsCommitHalfAgainAsMuchAsOne) {
+  const double one = CommittedPerSimSecond(1);
+  const double two = CommittedPerSimSecond(2);
+  ASSERT_GT(one, 0);
+  EXPECT_GE(two, 1.5 * one) << "1 shard: " << one << " txn/sim-s, 2 shards: "
+                            << two << " txn/sim-s";
+}
+
 // --- Wait-die parked slices vs the coordinator's finalize --------------------
 
 /// A single-datacenter Helios rig driven through the staged-slice node

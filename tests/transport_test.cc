@@ -342,7 +342,7 @@ TEST(LiveDatacenterTest, WalSurvivesRestart) {
   // Run a cluster with DC0 journaling; commit; tear everything down.
   {
     LiveCluster cluster(2, Millis(5));
-    ASSERT_TRUE(cluster.dcs[0]->EnableWal(path).ok());
+    ASSERT_TRUE(cluster.dcs[0]->EnableWal(path, wal::FileWalOptions{}).ok());
     cluster.Start();
     const CommitOutcome o =
         cluster.dcs[0]->CommitSync({}, {{"persist", "me"}});
@@ -352,7 +352,7 @@ TEST(LiveDatacenterTest, WalSurvivesRestart) {
   // Restart: a fresh cluster where DC0 recovers from its WAL.
   {
     LiveCluster cluster(2, Millis(5));
-    ASSERT_TRUE(cluster.dcs[0]->EnableWal(path).ok());
+    ASSERT_TRUE(cluster.dcs[0]->EnableWal(path, wal::FileWalOptions{}).ok());
     cluster.Start();
     // Restore triggers a real catch-up round with the peer, and the node
     // answers "recovering" until it completes — wait for the counters.

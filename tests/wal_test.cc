@@ -1,10 +1,11 @@
-// Tests for the write-ahead log: append/replay round trips, torn-tail and
-// corruption handling, and full node recovery — a restarted HeliosNode
-// rebuilt from its WAL rejoins the cluster with its data intact, aborts
-// its own in-flight transactions (presumed abort), and never reuses a
-// timestamp.
+// Tests for the write-ahead log: FileWal append/recover round trips and
+// full node recovery — a restarted HeliosNode rebuilt from its WAL rejoins
+// the cluster with its data intact, aborts its own in-flight transactions
+// (presumed abort), and never reuses a timestamp. Torn-tail and
+// corruption handling live in file_wal_test.cc.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -15,7 +16,7 @@
 #include "harness/topology.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
-#include "wal/wal.h"
+#include "wal/file_wal.h"
 
 namespace helios::wal {
 namespace {
@@ -39,33 +40,24 @@ rdict::LogRecord MakeRecord(DcId origin, uint64_t seq, Timestamp ts,
   return rec;
 }
 
-TEST(WalTest, MissingFileIsFreshNode) {
-  auto contents = ReplayWal(TempWalPath("missing"));
-  ASSERT_TRUE(contents.ok());
-  EXPECT_TRUE(contents.value().records.empty());
-  EXPECT_FALSE(contents.value().has_timetable);
-  EXPECT_FALSE(contents.value().truncated_tail);
-}
-
 TEST(WalTest, AppendReplayRoundTrip) {
   const std::string path = TempWalPath("roundtrip");
   std::remove(path.c_str());
   {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 1, 10, false)).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 1, 20, true)).ok());
+    FileWal wal;
+    ASSERT_TRUE(wal.Open(path).ok());
+    ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, 1, 10, false)).ok());
+    ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, 1, 20, true)).ok());
     rdict::Timetable table(3);
     table.Set(0, 0, 20);
     table.Set(0, 1, 15);
-    ASSERT_TRUE(writer.AppendTimetable(table).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(1, 7, 30, false)).ok());
-    ASSERT_TRUE(writer.Sync().ok());
-    EXPECT_EQ(writer.entries_appended(), 4u);
+    ASSERT_TRUE(wal.AppendTimetable(table).ok());
+    ASSERT_TRUE(wal.AppendRecord(MakeRecord(1, 7, 30, false)).ok());
+    EXPECT_EQ(wal.entries_appended(), 4u);
   }
-  auto contents = ReplayWal(path);
-  ASSERT_TRUE(contents.ok());
-  const WalContents& c = contents.value();
+  auto recovered = RecoverFileWal(path);
+  ASSERT_TRUE(recovered.ok());
+  const WalContents& c = recovered.value().contents;
   EXPECT_FALSE(c.truncated_tail);
   ASSERT_EQ(c.records.size(), 3u);
   EXPECT_EQ(c.records[0].ts, 10);
@@ -81,142 +73,18 @@ TEST(WalTest, ReopenAppendsInsteadOfTruncating) {
   const std::string path = TempWalPath("reopen");
   std::remove(path.c_str());
   {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 1, 10, false)).ok());
+    FileWal wal;
+    ASSERT_TRUE(wal.Open(path).ok());
+    ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, 1, 10, false)).ok());
   }
   {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 2, 20, false)).ok());
+    FileWal wal;
+    ASSERT_TRUE(wal.Open(path).ok());
+    ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, 2, 20, false)).ok());
   }
-  auto contents = ReplayWal(path);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_EQ(contents.value().records.size(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, TornTailIsTruncatedNotFatal) {
-  const std::string path = TempWalPath("torn");
-  std::remove(path.c_str());
-  {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 1, 10, false)).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 2, 20, false)).ok());
-    ASSERT_TRUE(writer.Sync().ok());
-  }
-  // Chop bytes off the end, emulating a crash mid-write.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    ASSERT_EQ(::ftruncate(::fileno(f), size - 7), 0);
-    std::fclose(f);
-  }
-  auto contents = ReplayWal(path);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_TRUE(contents.value().truncated_tail);
-  ASSERT_EQ(contents.value().records.size(), 1u);
-  EXPECT_EQ(contents.value().records[0].ts, 10);
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, CorruptedMiddleStopsAtLastValidEntry) {
-  const std::string path = TempWalPath("corrupt");
-  std::remove(path.c_str());
-  {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 1, 10, false)).ok());
-    ASSERT_TRUE(writer.AppendRecord(MakeRecord(0, 2, 20, false)).ok());
-    ASSERT_TRUE(writer.Sync().ok());
-  }
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, size / 2 + 6, SEEK_SET);  // Inside the second entry.
-    std::fputc(0xEE, f);
-    std::fclose(f);
-  }
-  auto contents = ReplayWal(path);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_TRUE(contents.value().truncated_tail);
-  EXPECT_LE(contents.value().records.size(), 1u);
-  std::remove(path.c_str());
-}
-
-// Seeded corruption sweep: random bit-flips and truncations anywhere in
-// the file must never crash ReplayWal. Replay stops at the first bad
-// frame, and because every surviving frame passed its CRC, the surviving
-// records are a verbatim prefix of what was appended.
-TEST(WalTest, RandomCorruptionSweepNeverCrashesReplay) {
-  const std::string ref_path = TempWalPath("corrupt_sweep_ref");
-  std::remove(ref_path.c_str());
-  constexpr uint64_t kRecords = 20;
-  {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(ref_path).ok());
-    for (uint64_t i = 1; i <= kRecords; ++i) {
-      ASSERT_TRUE(
-          writer.AppendRecord(MakeRecord(i % 3, i, 10 * i, i % 2 == 0)).ok());
-    }
-    rdict::Timetable table(3);
-    table.Set(1, 2, 99);
-    ASSERT_TRUE(writer.AppendTimetable(table).ok());
-    ASSERT_TRUE(writer.Sync().ok());
-  }
-  std::vector<uint8_t> pristine;
-  {
-    std::FILE* f = std::fopen(ref_path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    pristine.resize(static_cast<size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    ASSERT_EQ(std::fread(pristine.data(), 1, pristine.size(), f),
-              pristine.size());
-    std::fclose(f);
-  }
-  std::remove(ref_path.c_str());
-
-  const std::string path = TempWalPath("corrupt_sweep");
-  uint64_t rng = 0x5EEDull;
-  auto next = [&rng]() {
-    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-    return rng >> 33;
-  };
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<uint8_t> bytes = pristine;
-    if (trial % 2 == 0) {
-      const uint64_t flips = 1 + next() % 4;
-      for (uint64_t i = 0; i < flips; ++i) {
-        bytes[next() % bytes.size()] ^=
-            static_cast<uint8_t>(1u << (next() % 8));
-      }
-    } else {
-      bytes.resize(next() % (bytes.size() + 1));
-    }
-    {
-      std::FILE* f = std::fopen(path.c_str(), "wb");
-      ASSERT_NE(f, nullptr);
-      if (!bytes.empty()) {
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
-      }
-      std::fclose(f);
-    }
-    auto contents = ReplayWal(path);
-    ASSERT_TRUE(contents.ok()) << "trial " << trial;
-    const WalContents& c = contents.value();
-    ASSERT_LE(c.records.size(), kRecords) << "trial " << trial;
-    for (size_t i = 0; i < c.records.size(); ++i) {
-      EXPECT_EQ(c.records[i].ts, static_cast<Timestamp>(10 * (i + 1)))
-          << "trial " << trial << " record " << i;
-    }
-  }
+  auto recovered = RecoverFileWal(path);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value().contents.records.size(), 2u);
   std::remove(path.c_str());
 }
 
@@ -236,10 +104,10 @@ TEST(WalRecoveryTest, NodeRestoresAndRejoinsCluster) {
     core::HeliosConfig cfg;
     cfg.num_datacenters = 3;
     core::HeliosCluster cluster(&scheduler, &network, cfg);
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    cluster.node(0).set_record_sink([&writer](const rdict::LogRecord& rec) {
-      ASSERT_TRUE(writer.AppendRecord(rec).ok());
+    FileWal wal;
+    ASSERT_TRUE(wal.Open(path).ok());
+    cluster.node(0).set_record_sink([&wal](const rdict::LogRecord& rec) {
+      ASSERT_TRUE(wal.AppendRecord(rec).ok());
     });
     cluster.Start();
 
@@ -262,16 +130,16 @@ TEST(WalRecoveryTest, NodeRestoresAndRejoinsCluster) {
                            [](const CommitOutcome&) {});
     });
     scheduler.RunUntil(scheduler.Now() + Millis(5));
-    ASSERT_TRUE(writer.AppendTimetable(cluster.node(0).log().table()).ok());
-    ASSERT_TRUE(writer.Sync().ok());
+    ASSERT_TRUE(wal.AppendTimetable(cluster.node(0).log().table()).ok());
     // "Crash": everything goes out of scope; only the WAL survives.
   }
 
   // Phase 2: a fresh world; node 0 restores from the WAL.
-  auto contents = ReplayWal(path);
-  ASSERT_TRUE(contents.ok());
-  ASSERT_GT(contents.value().records.size(), 2u);
-  ASSERT_TRUE(contents.value().has_timetable);
+  auto recovered = RecoverFileWal(path);
+  ASSERT_TRUE(recovered.ok());
+  const WalContents& contents = recovered.value().contents;
+  ASSERT_GT(contents.records.size(), 2u);
+  ASSERT_TRUE(contents.has_timetable);
 
   sim::Scheduler scheduler;
   sim::Network network(&scheduler, 3, 6);
@@ -283,8 +151,7 @@ TEST(WalRecoveryTest, NodeRestoresAndRejoinsCluster) {
   // also fresh, so node 0 must not believe they already hold its records.
   // (With surviving peers one would pass the snapshot and skip the
   // resends; the snapshot round trip itself is covered above.)
-  ASSERT_TRUE(
-      cluster.node(0).Restore(contents.value().records, nullptr).ok());
+  ASSERT_TRUE(cluster.node(0).Restore(contents.records, nullptr).ok());
 
   // Recovered data is visible immediately.
   auto v = cluster.node(0).store().Read("durable");
@@ -317,8 +184,6 @@ TEST(WalRecoveryTest, NodeRestoresAndRejoinsCluster) {
 }
 
 TEST(WalRecoveryTest, RestoredNodeNeverReusesTimestamps) {
-  const std::string path = TempWalPath("ts");
-  std::remove(path.c_str());
   std::vector<rdict::LogRecord> records;
   Timestamp max_ts = 0;
   {

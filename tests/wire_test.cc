@@ -15,11 +15,12 @@ namespace helios::wire {
 namespace {
 
 TEST(CodecTest, VarintRoundTrip) {
-  Encoder enc;
+  Buffer buf;
+  Writer w(&buf);
   const std::vector<uint64_t> values = {0, 1, 127, 128, 300, 16383, 16384,
                                         UINT64_MAX / 2, UINT64_MAX};
-  for (uint64_t v : values) enc.PutVarint(v);
-  Decoder dec(enc.bytes());
+  for (uint64_t v : values) w.PutVarint(v);
+  Decoder dec(buf);
   for (uint64_t v : values) {
     uint64_t out = 0;
     ASSERT_TRUE(dec.GetVarint(&out).ok());
@@ -29,20 +30,22 @@ TEST(CodecTest, VarintRoundTrip) {
 }
 
 TEST(CodecTest, VarintIsCompactForSmallValues) {
-  Encoder enc;
-  enc.PutVarint(5);
-  EXPECT_EQ(enc.size(), 1u);
-  enc.PutVarint(300);
-  EXPECT_EQ(enc.size(), 3u);  // 1 + 2.
+  Buffer buf;
+  Writer w(&buf);
+  w.PutVarint(5);
+  EXPECT_EQ(buf.size(), 1u);
+  w.PutVarint(300);
+  EXPECT_EQ(buf.size(), 3u);  // 1 + 2.
 }
 
 TEST(CodecTest, SignedVarintRoundTrip) {
-  Encoder enc;
+  Buffer buf;
+  Writer w(&buf);
   const std::vector<int64_t> values = {0,         -1,       1,
                                        -64,       64,       INT64_MIN,
                                        INT64_MAX, -1234567, 7654321};
-  for (int64_t v : values) enc.PutSignedVarint(v);
-  Decoder dec(enc.bytes());
+  for (int64_t v : values) w.PutSignedVarint(v);
+  Decoder dec(buf);
   for (int64_t v : values) {
     int64_t out = 0;
     ASSERT_TRUE(dec.GetSignedVarint(&out).ok());
@@ -51,16 +54,18 @@ TEST(CodecTest, SignedVarintRoundTrip) {
 }
 
 TEST(CodecTest, ZigZagKeepsSmallNegativesSmall) {
-  Encoder enc;
-  enc.PutSignedVarint(-3);
-  EXPECT_EQ(enc.size(), 1u);
+  Buffer buf;
+  Writer w(&buf);
+  w.PutSignedVarint(-3);
+  EXPECT_EQ(buf.size(), 1u);
 }
 
 TEST(CodecTest, FixedWidthRoundTrip) {
-  Encoder enc;
-  enc.PutFixed32(0xDEADBEEFu);
-  enc.PutFixed64(0x0123456789ABCDEFull);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  w.PutFixed32(0xDEADBEEFu);
+  w.PutFixed64(0x0123456789ABCDEFull);
+  Decoder dec(buf);
   uint32_t a = 0;
   uint64_t b = 0;
   ASSERT_TRUE(dec.GetFixed32(&a).ok());
@@ -70,11 +75,12 @@ TEST(CodecTest, FixedWidthRoundTrip) {
 }
 
 TEST(CodecTest, StringRoundTrip) {
-  Encoder enc;
-  enc.PutString("");
-  enc.PutString("hello");
-  enc.PutString(std::string(1000, 'x'));
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  w.PutString("");
+  w.PutString("hello");
+  w.PutString(std::string(1000, 'x'));
+  Decoder dec(buf);
   std::string out;
   ASSERT_TRUE(dec.GetString(&out).ok());
   EXPECT_EQ(out, "");
@@ -85,9 +91,10 @@ TEST(CodecTest, StringRoundTrip) {
 }
 
 TEST(CodecTest, DecodePastEndFails) {
-  Encoder enc;
-  enc.PutU8(0x80);  // Unterminated varint.
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  w.PutU8(0x80);  // Unterminated varint.
+  Decoder dec(buf);
   uint64_t out = 0;
   EXPECT_FALSE(dec.GetVarint(&out).ok());
 
@@ -99,17 +106,19 @@ TEST(CodecTest, DecodePastEndFails) {
 }
 
 TEST(CodecTest, StringLengthBeyondBufferFails) {
-  Encoder enc;
-  enc.PutVarint(1000);  // Claims 1000 bytes, provides none.
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  w.PutVarint(1000);  // Claims 1000 bytes, provides none.
+  Decoder dec(buf);
   std::string out;
   EXPECT_FALSE(dec.GetString(&out).ok());
 }
 
 TEST(CodecTest, BoolRejectsOutOfRange) {
-  Encoder enc;
-  enc.PutU8(2);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  w.PutU8(2);
+  Decoder dec(buf);
   bool out = false;
   EXPECT_FALSE(dec.GetBool(&out).ok());
 }
@@ -137,9 +146,10 @@ TxnBodyPtr SampleBody() {
 }
 
 TEST(SerializationTest, TxnBodyRoundTrip) {
-  Encoder enc;
-  EncodeTxnBody(*SampleBody(), &enc);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  EncodeTxnBody(*SampleBody(), &w);
+  Decoder dec(buf);
   TxnBodyPtr out;
   ASSERT_TRUE(DecodeTxnBody(&dec, &out).ok());
   EXPECT_EQ(out->id, (TxnId{3, 42}));
@@ -160,9 +170,10 @@ TEST(SerializationTest, LogRecordRoundTrip) {
   rec.version_ts = 987654400;
   rec.origin = 4;
   rec.body = SampleBody();
-  Encoder enc;
-  EncodeLogRecord(rec, &enc);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  EncodeLogRecord(rec, &w);
+  Decoder dec(buf);
   rdict::LogRecord out;
   ASSERT_TRUE(DecodeLogRecord(&dec, &out).ok());
   EXPECT_EQ(out.type, rdict::RecordType::kFinished);
@@ -181,9 +192,10 @@ TEST(SerializationTest, TimetableRoundTrip) {
       table.Set(i, j, static_cast<Timestamp>(rng.Uniform(1u << 30)));
     }
   }
-  Encoder enc;
-  EncodeTimetable(table, &enc);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  EncodeTimetable(table, &w);
+  Decoder dec(buf);
   rdict::Timetable out(1);
   ASSERT_TRUE(DecodeTimetable(&dec, &out).ok());
   EXPECT_EQ(out, table);
@@ -204,15 +216,22 @@ core::Envelope SampleEnvelope() {
   return env;
 }
 
+/// A framed envelope as a mutable byte string.
+std::vector<uint8_t> Framed(const core::Envelope& env) {
+  Framer framer;
+  return framer.Frame(env).ToVector();
+}
+
 TEST(SerializationTest, EnvelopeEstimationFieldsRoundTrip) {
   core::Envelope env = SampleEnvelope();
   env.ping_id = 42;
   env.pong_for = 17;
   env.pong_hold_us = 12345;
   env.rtt_row_us = {0, 66000, 78000};
-  Encoder enc;
-  EncodeEnvelope(env, &enc);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(env, &w);
+  Decoder dec(buf);
   core::Envelope out(1);
   ASSERT_TRUE(DecodeEnvelope(&dec, &out).ok());
   EXPECT_EQ(out.ping_id, 42u);
@@ -223,9 +242,10 @@ TEST(SerializationTest, EnvelopeEstimationFieldsRoundTrip) {
 
 TEST(SerializationTest, EnvelopeRoundTrip) {
   const core::Envelope env = SampleEnvelope();
-  Encoder enc;
-  EncodeEnvelope(env, &enc);
-  Decoder dec(enc.bytes());
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(env, &w);
+  Decoder dec(buf);
   core::Envelope out(1);
   ASSERT_TRUE(DecodeEnvelope(&dec, &out).ok());
   EXPECT_EQ(out.log.from, 2);
@@ -238,27 +258,27 @@ TEST(SerializationTest, EnvelopeRoundTrip) {
 }
 
 TEST(SerializationTest, FrameRoundTrip) {
-  const auto bytes = FrameEnvelope(SampleEnvelope());
+  const auto bytes = Framed(SampleEnvelope());
   auto result = UnframeEnvelope(bytes);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().log.from, 2);
 }
 
 TEST(SerializationTest, FrameRejectsBadMagic) {
-  auto bytes = FrameEnvelope(SampleEnvelope());
+  auto bytes = Framed(SampleEnvelope());
   bytes[0] ^= 0xFF;
   EXPECT_FALSE(UnframeEnvelope(bytes).ok());
 }
 
 TEST(SerializationTest, FrameRejectsCorruptedPayload) {
-  auto bytes = FrameEnvelope(SampleEnvelope());
+  auto bytes = Framed(SampleEnvelope());
   bytes[bytes.size() / 2] ^= 0x10;
   const auto result = UnframeEnvelope(bytes);
   ASSERT_FALSE(result.ok());
 }
 
 TEST(SerializationTest, FrameRejectsTruncation) {
-  auto bytes = FrameEnvelope(SampleEnvelope());
+  auto bytes = Framed(SampleEnvelope());
   for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{3}}) {
     std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
     EXPECT_FALSE(UnframeEnvelope(truncated).ok()) << "cut at " << cut;
@@ -266,16 +286,17 @@ TEST(SerializationTest, FrameRejectsTruncation) {
 }
 
 TEST(SerializationTest, FrameRejectsWrongVersion) {
-  auto bytes = FrameEnvelope(SampleEnvelope());
+  auto bytes = Framed(SampleEnvelope());
   bytes[4] = kWireVersion + 1;
   EXPECT_FALSE(UnframeEnvelope(bytes).ok());
 }
 
-TEST(SerializationTest, EncodedSizeMatchesEncoder) {
+TEST(SerializationTest, EncodedSizeMatchesWriter) {
   const core::Envelope env = SampleEnvelope();
-  Encoder enc;
-  EncodeEnvelope(env, &enc);
-  EXPECT_EQ(EncodedEnvelopeSize(env), enc.size());
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(env, &w);
+  EXPECT_EQ(EncodedEnvelopeSize(env), buf.size());
 }
 
 // Robustness: random byte soup must never crash the decoder or make it
@@ -296,11 +317,12 @@ TEST(SerializationTest, RandomBytesNeverCrashDecoder) {
 // fails the CRC or (if we bypass framing) fails structured decoding
 // without crashing.
 TEST(SerializationTest, CorruptedPayloadDecodeIsSafe) {
-  Encoder enc;
-  EncodeEnvelope(SampleEnvelope(), &enc);
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(SampleEnvelope(), &w);
   Rng rng(77);
   for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<uint8_t> bytes = enc.bytes();
+    std::vector<uint8_t> bytes = buf.ToVector();
     const size_t flips = 1 + rng.Uniform(4);
     for (size_t i = 0; i < flips; ++i) {
       bytes[rng.Uniform(bytes.size())] ^= static_cast<uint8_t>(

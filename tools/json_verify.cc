@@ -2,40 +2,21 @@
 // one well-formed JSON value (RFC 8259). Used by the CI bench-smoke job to
 // check that --json_out sweep documents parse; shares the checker the unit
 // tests use (tests/json_check.h).
-//
-// With --schema=bench, each file must additionally satisfy the
-// helios-bench-perf-v1 shape (harness::PerfReport::FromJson): the schema
-// tag, an entries array of {id, metrics}, numeric metric values, and no
-// unknown keys. This is how CI validates committed BENCH_*.json documents.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "harness/perf_report.h"
 #include "tests/json_check.h"
 
 int main(int argc, char** argv) {
-  bool bench_schema = false;
-  int first_file = 1;
-  if (argc > 1 && std::strncmp(argv[1], "--schema=", 9) == 0) {
-    const char* schema = argv[1] + 9;
-    if (std::strcmp(schema, "bench") != 0) {
-      std::fprintf(stderr, "unknown --schema '%s' (supported: bench)\n",
-                   schema);
-      return 2;
-    }
-    bench_schema = true;
-    first_file = 2;
-  }
-  if (first_file >= argc) {
-    std::fprintf(stderr, "usage: %s [--schema=bench] FILE...\n", argv[0]);
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: %s FILE...\n", argv[0]);
     return 2;
   }
   int rc = 0;
-  for (int i = first_file; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     std::ifstream in(argv[i], std::ios::binary);
     if (!in) {
       std::fprintf(stderr, "%s: cannot open\n", argv[i]);
@@ -52,20 +33,7 @@ int main(int argc, char** argv) {
       rc = 1;
       continue;
     }
-    if (bench_schema) {
-      auto report = helios::harness::PerfReport::FromJson(text);
-      if (!report.ok()) {
-        std::fprintf(stderr, "%s: bad bench report: %s\n", argv[i],
-                     report.status().ToString().c_str());
-        rc = 1;
-        continue;
-      }
-      std::printf("%s: valid %s (%zu entries)\n", argv[i],
-                  helios::harness::kPerfReportSchema,
-                  report.value().entries.size());
-    } else {
-      std::printf("%s: valid JSON (%zu bytes)\n", argv[i], text.size());
-    }
+    std::printf("%s: valid JSON (%zu bytes)\n", argv[i], text.size());
   }
   return rc;
 }
