@@ -1,107 +1,29 @@
 #include "baselines/replicated_commit.h"
 
 #include <algorithm>
-#include <cassert>
-
-#include "sim/reliable.h"
+#include <memory>
 
 namespace helios::baselines {
 
+namespace {
+
+/// A transaction whose votes cannot complete (e.g. datacenter outages)
+/// aborts after this long.
+constexpr Duration kDecisionTimeout = Seconds(5);
+
+}  // namespace
+
 ReplicatedCommitCluster::ReplicatedCommitCluster(sim::Scheduler* scheduler,
                                                  sim::Network* network,
-                                                 ReplicatedCommitConfig config)
-    : scheduler_(scheduler), network_(network), config_(std::move(config)) {
-  assert(network_->size() == config_.num_datacenters);
+                                                 ReplicaConfig config)
+    : ReplicaCluster(scheduler, network, std::move(config)) {
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    dcs_.push_back(std::make_unique<Datacenter>(scheduler_));
-    const Duration offset =
-        config_.clock_offsets.empty()
-            ? 0
-            : config_.clock_offsets[static_cast<size_t>(dc)];
-    clocks_.push_back(std::make_unique<sim::Clock>(scheduler_, offset));
-    wals_.push_back(std::make_unique<wal::MemoryWal>());
-  }
-  dc_state_.resize(static_cast<size_t>(config_.num_datacenters));
-  journaled_.resize(static_cast<size_t>(config_.num_datacenters));
-}
-
-void ReplicatedCommitCluster::SetObservability(obs::TraceRecorder* trace,
-                                               obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  h_commit_total_us_ =
-      metrics == nullptr ? nullptr : &metrics->histogram("txn.commit_total_us");
-  h_abort_total_us_ =
-      metrics == nullptr ? nullptr : &metrics->histogram("txn.abort_total_us");
-}
-
-void ReplicatedCommitCluster::ExportMetrics(
-    obs::MetricsRegistry* registry) const {
-  registry->counter("protocol.commits").Set(commits_);
-  registry->counter("protocol.aborts").Set(aborts_);
-  // Gated on an actual recovery so crash-free snapshots keep their
-  // pre-existing key set byte for byte.
-  if (recovery_stats_.recoveries > 0) {
-    registry->counter("recovery.recoveries").Set(recovery_stats_.recoveries);
-    registry->counter("recovery.records_replayed")
-        .Set(recovery_stats_.records_replayed);
-    registry->counter("recovery.catchup_records")
-        .Set(recovery_stats_.catchup_records);
-    registry->counter("recovery.duration_us")
-        .Set(recovery_stats_.duration_us);
+    locks_.emplace_back(LockPolicy::kNoWait);
   }
 }
 
-void ReplicatedCommitCluster::RecordDecision(DcId dc, const TxnId& txn,
-                                             bool commit, sim::SimTime t0,
-                                             const std::string& reason) {
-  const sim::SimTime now = scheduler_->Now();
-  if (trace_ != nullptr) {
-    trace_->Span(obs::EventKind::kTxnServer, dc, txn, t0, now, kInvalidDc,
-                 reason);
-    trace_->Instant(commit ? obs::EventKind::kTxnCommit
-                           : obs::EventKind::kTxnAbort,
-                    dc, txn, now, kInvalidDc, reason);
-  }
-  obs::Histogram* h = commit ? h_commit_total_us_ : h_abort_total_us_;
-  if (h != nullptr) h->Observe(static_cast<double>(now - t0));
-}
-
-void ReplicatedCommitCluster::WanSend(DcId from, DcId to,
-                                      std::function<void()> fn) {
-  if (mesh_ != nullptr) {
-    mesh_->Send(from, to, std::move(fn));
-  } else {
-    network_->Send(from, to, std::move(fn));
-  }
-}
-
-void ReplicatedCommitCluster::Route(DcId home, DcId target,
-                                    std::function<void()> fn) {
-  if (home == target) {
-    scheduler_->After(config_.client_link_one_way, std::move(fn));
-  } else {
-    scheduler_->After(config_.client_link_one_way,
-                      [this, home, target, fn = std::move(fn)]() {
-                        WanSend(home, target, fn);
-                      });
-  }
-}
-
-void ReplicatedCommitCluster::RouteBack(DcId target, DcId home,
-                                        std::function<void()> fn) {
-  if (home == target) {
-    scheduler_->After(config_.client_link_one_way, std::move(fn));
-  } else {
-    WanSend(target, home, [this, fn = std::move(fn)]() {
-      scheduler_->After(config_.client_link_one_way, fn);
-    });
-  }
-}
-
-TxnId ReplicatedCommitCluster::BeginTxn(DcId client_dc) {
-  const TxnId id = ProtocolCluster::BeginTxn(client_dc);
-  txn_start_ts_[id] = clocks_[static_cast<size_t>(client_dc)]->NowUnique();
-  return id;
+void ReplicatedCommitCluster::OnCrash(DcId dc) {
+  locks_[static_cast<size_t>(dc)] = LockTable(LockPolicy::kNoWait);
 }
 
 // --- Server-side handlers -----------------------------------------------------
@@ -109,78 +31,75 @@ TxnId ReplicatedCommitCluster::BeginTxn(DcId client_dc) {
 void ReplicatedCommitCluster::HandleLockRead(
     DcId dc, const TxnId& txn, Timestamp start_ts, const Key& key,
     std::function<void(Result<VersionedValue>)> reply) {
-  const DcState& st = dc_state_[static_cast<size_t>(dc)];
-  if (st.down) return;  // A crashed datacenter drops everything.
-  Datacenter& d = *dcs_[static_cast<size_t>(dc)];
-  d.service.Submit(config_.service.read + config_.service.lock_op,
-                   [this, dc, gen = st.gen, txn, start_ts, key,
-                    reply = std::move(reply)]() {
-    const DcState& st = dc_state_[static_cast<size_t>(dc)];
-    if (st.down || gen != st.gen) return;  // Crashed while queued.
-    if (st.recovering) {
-      reply(Status::Unavailable("recovering"));
-      return;
-    }
-    Datacenter& d = *dcs_[static_cast<size_t>(dc)];
-    d.locks.Acquire(key, LockMode::kShared, txn, start_ts,
-                    [&d, &key, &reply](Status s) {
-                      // No-wait: the grant callback runs synchronously.
-                      if (!s.ok()) {
-                        reply(Status::Aborted("read lock refused"));
-                        return;
-                      }
-                      reply(d.store.Read(key));
-                    });
-  });
+  if (state(dc).down) return;  // A crashed datacenter drops everything.
+  replica(dc).service.Submit(
+      config_.service.read + config_.service.lock_op,
+      [this, dc, gen = state(dc).gen, txn, start_ts, key,
+       reply = std::move(reply)]() {
+        if (!Alive(dc, gen)) return;  // Crashed while queued.
+        if (state(dc).recovering) {
+          reply(Status::Unavailable("recovering"));
+          return;
+        }
+        const MvStore& store = replica(dc).store;
+        locks_[static_cast<size_t>(dc)].Acquire(
+            key, LockMode::kShared, txn, start_ts,
+            [&store, &key, &reply](Status s) {
+              // No-wait: the grant callback runs synchronously.
+              if (!s.ok()) {
+                reply(Status::Aborted("read lock refused"));
+                return;
+              }
+              reply(store.Read(key));
+            });
+      });
 }
 
 void ReplicatedCommitCluster::HandleVote(
     DcId dc, const TxnId& txn, Timestamp start_ts,
     const std::vector<ReadEntry>& reads, const std::vector<WriteEntry>& writes,
     std::function<void(VoteReply)> reply) {
-  const DcState& state = dc_state_[static_cast<size_t>(dc)];
-  if (state.down) return;
-  Datacenter& d = *dcs_[static_cast<size_t>(dc)];
+  if (state(dc).down) return;
   const Duration vote_cost =
       config_.service.commit_request +
       config_.service.lock_op *
           static_cast<Duration>(reads.size() + writes.size());
-  d.service.Submit(
+  replica(dc).service.Submit(
       vote_cost,
-      [this, dc, gen = state.gen, txn, start_ts, reads, writes,
+      [this, dc, gen = state(dc).gen, txn, start_ts, reads, writes,
        reply = std::move(reply)]() {
-        const DcState& st = dc_state_[static_cast<size_t>(dc)];
-        if (st.down || gen != st.gen) return;
-        if (st.recovering) {
+        if (!Alive(dc, gen)) return;
+        if (state(dc).recovering) {
           // A store that has not caught up cannot validate reads; vote no
           // rather than risk validating against stale versions.
           reply(VoteReply{});
           return;
         }
-        Datacenter& d = *dcs_[static_cast<size_t>(dc)];
+        LockTable& locks = locks_[static_cast<size_t>(dc)];
+        const MvStore& store = replica(dc).store;
         VoteReply vote;
         vote.yes = true;
         // Acquire write locks (no-wait: grants are synchronous).
         for (const WriteEntry& w : writes) {
           bool got = false;
-          d.locks.Acquire(w.key, LockMode::kExclusive, txn, start_ts,
-                          [&got](Status s) { got = s.ok(); });
+          locks.Acquire(w.key, LockMode::kExclusive, txn, start_ts,
+                        [&got](Status s) { got = s.ok(); });
           if (!got) {
             vote.yes = false;
             break;
           }
           vote.max_write_version_ts =
-              std::max(vote.max_write_version_ts, d.store.LatestVersionTs(w.key));
+              std::max(vote.max_write_version_ts, store.LatestVersionTs(w.key));
         }
         // Validate reads: either the shared lock is still held (the normal
         // path) or the version the client read is still current.
         if (vote.yes) {
           for (const ReadEntry& r : reads) {
-            if (d.locks.Holds(r.key, txn, LockMode::kShared)) continue;
+            if (locks.Holds(r.key, txn, LockMode::kShared)) continue;
             bool got = false;
-            d.locks.Acquire(r.key, LockMode::kShared, txn, start_ts,
-                            [&got](Status s) { got = s.ok(); });
-            auto current = d.store.Read(r.key);
+            locks.Acquire(r.key, LockMode::kShared, txn, start_ts,
+                          [&got](Status s) { got = s.ok(); });
+            auto current = store.Read(r.key);
             const bool matches =
                 current.ok() ? current.value().writer == r.version_writer
                              : !r.version_writer.valid();
@@ -198,25 +117,18 @@ void ReplicatedCommitCluster::HandleVote(
 void ReplicatedCommitCluster::HandleDecision(DcId dc, const TxnId& txn,
                                              bool commit, TxnBodyPtr body,
                                              Timestamp version_ts) {
-  const DcState& state = dc_state_[static_cast<size_t>(dc)];
-  if (state.down) return;
-  Datacenter& d = *dcs_[static_cast<size_t>(dc)];
+  if (state(dc).down) return;
   const Duration cost =
       commit ? config_.service.write_apply *
                    static_cast<Duration>(body ? body->write_set.size() : 0)
              : Micros(10);
-  d.service.Submit(cost, [this, dc, gen = state.gen, txn, commit,
-                          body = std::move(body), version_ts]() {
-    const DcState& st = dc_state_[static_cast<size_t>(dc)];
-    if (st.down || gen != st.gen) return;
-    Datacenter& d = *dcs_[static_cast<size_t>(dc)];
-    // Journal-then-apply; a false return means catch-up already applied
-    // this decision, so the broadcast copy must not apply it again.
-    if (commit && body != nullptr &&
-        JournalCommit(dc, txn, body, version_ts)) {
-      d.store.ApplyTxn(*body, version_ts);
-    }
-    d.locks.ReleaseAll(txn);
+  replica(dc).service.Submit(cost, [this, dc, gen = state(dc).gen, txn,
+                                    commit, body = std::move(body),
+                                    version_ts]() {
+    if (!Alive(dc, gen)) return;
+    // A no-op when catch-up already applied this decision.
+    if (commit && body != nullptr) ApplyDecision(dc, body, version_ts);
+    locks_[static_cast<size_t>(dc)].ReleaseAll(txn);
   });
 }
 
@@ -237,11 +149,7 @@ void ReplicatedCommitCluster::TxnRead(DcId client_dc, const TxnId& txn,
                                       const Key& key, ReadCallback done) {
   const int n = config_.num_datacenters;
   const int majority = n / 2 + 1;
-  auto start_it = txn_start_ts_.find(txn);
-  const Timestamp start_ts =
-      start_it != txn_start_ts_.end()
-          ? start_it->second
-          : clocks_[static_cast<size_t>(client_dc)]->Now();
+  const Timestamp start_ts = StartTs(client_dc, txn);
 
   struct ReadState {
     int replies = 0;
@@ -251,8 +159,7 @@ void ReplicatedCommitCluster::TxnRead(DcId client_dc, const TxnId& txn,
     VersionedValue best;
   };
   auto state = std::make_shared<ReadState>();
-  auto on_reply = [this, state, n, majority, done](
-                      Result<VersionedValue> r) {
+  auto on_reply = [state, n, majority, done](Result<VersionedValue> r) {
     ++state->replies;
     if (r.ok()) {
       ++state->granted;
@@ -301,61 +208,56 @@ void ReplicatedCommitCluster::TxnCommit(DcId client_dc, const TxnId& txn,
                                         CommitCallback done) {
   const int n = config_.num_datacenters;
   const int majority = n / 2 + 1;
-  auto start_it = txn_start_ts_.find(txn);
-  const Timestamp start_ts =
-      start_it != txn_start_ts_.end()
-          ? start_it->second
-          : clocks_[static_cast<size_t>(client_dc)]->Now();
+  const Timestamp start_ts = StartTs(client_dc, txn);
   TxnBodyPtr body = MakeTxnBody(txn, std::move(reads), std::move(writes));
   const sim::SimTime requested_at = scheduler_->Now();
 
-  struct CommitState {
-    int yes = 0;
-    int no = 0;
-    bool decided = false;
-    Timestamp max_write_version_ts = kMinTimestamp;
-  };
-  auto state = std::make_shared<CommitState>();
+  auto tally = std::make_shared<Tally>();
+  open_tallies_[txn] = tally;
 
-  auto decide = [this, state, client_dc, txn, body, done,
+  auto decide = [this, tally, client_dc, txn, body, done,
                  requested_at](bool commit) {
-    if (state->decided) return;
-    state->decided = true;
+    if (tally->decided) return;
+    tally->decided = true;
+    open_tallies_.erase(txn);
+    commit = commit && !tally->abandoned;
+    const char* reason = commit            ? ""
+                         : tally->abandoned ? "abandoned"
+                                            : "vote:no-majority";
     Timestamp version_ts = kMinTimestamp;
     if (commit) {
       // Dependency-bump the version timestamp above everything read or
       // overwritten so the per-key version order matches the lock order.
-      version_ts = clocks_[static_cast<size_t>(client_dc)]->NowUnique();
+      version_ts = clock(client_dc).NowUnique();
       for (const ReadEntry& r : body->read_set) {
         version_ts = std::max(version_ts, r.version_ts + 1);
       }
-      version_ts = std::max(version_ts, state->max_write_version_ts + 1);
+      version_ts = std::max(version_ts, tally->max_write_version_ts + 1);
       ++commits_;
       history_.RecordCommit(
           core::CommittedTxn{txn, client_dc, version_ts, body});
     } else {
       ++aborts_;
     }
-    if (trace_ != nullptr || h_commit_total_us_ != nullptr) {
-      RecordDecision(client_dc, txn, commit, requested_at,
-                     commit ? "" : "vote:no-majority");
+    if (observed()) {
+      RecordDecision(client_dc, txn, commit, requested_at, reason);
     }
     BroadcastDecision(client_dc, txn, commit, body, version_ts);
-    done(CommitOutcome{txn, commit, commit ? "" : "vote:no-majority"});
+    done(CommitOutcome{txn, commit, reason});
   };
 
-  auto on_vote = [state, majority, n, decide](const VoteReply& vote) {
-    if (state->decided) return;
+  auto on_vote = [tally, majority, n, decide](const VoteReply& vote) {
+    if (tally->decided) return;
     if (vote.yes) {
-      ++state->yes;
-      state->max_write_version_ts =
-          std::max(state->max_write_version_ts, vote.max_write_version_ts);
+      ++tally->yes;
+      tally->max_write_version_ts =
+          std::max(tally->max_write_version_ts, vote.max_write_version_ts);
     } else {
-      ++state->no;
+      ++tally->no;
     }
-    if (state->yes >= majority) {
+    if (tally->yes >= majority) {
       decide(true);
-    } else if (state->no > n - majority) {
+    } else if (tally->no > n - majority) {
       decide(false);
     }
   };
@@ -371,205 +273,28 @@ void ReplicatedCommitCluster::TxnCommit(DcId client_dc, const TxnId& txn,
   }
 
   // Outage guard: if votes can never resolve (crashed datacenters), abort.
-  scheduler_->After(config_.decision_timeout, [decide]() { decide(false); });
-}
-
-void ReplicatedCommitCluster::LoadInitialAll(const Key& key,
-                                             const Value& value) {
-  // kMinTimestamp, not 0: skewed client clocks can stamp early commits
-  // with negative timestamps, and the initial version must never shadow a
-  // committed write in the (ts, writer) version order.
-  const TxnId loader{-2, next_load_seq_++};
-  initial_loads_.emplace_back(key, value);
-  for (auto& dc : dcs_) {
-    dc->store.ApplyWrite(key, value, kMinTimestamp, loader);
-  }
+  scheduler_->After(kDecisionTimeout, [decide]() { decide(false); });
 }
 
 void ReplicatedCommitCluster::TxnAbandon(DcId client_dc, const TxnId& txn) {
+  auto it = open_tallies_.find(txn);
+  if (it != open_tallies_.end()) it->second->abandoned = true;
   BroadcastDecision(client_dc, txn, false, nullptr, kMinTimestamp);
 }
 
+// Reads outside a transaction take no locks and stay local.
 void ReplicatedCommitCluster::ClientRead(DcId client_dc, const Key& key,
                                          ReadCallback done) {
-  // Plain read outside a transaction: lock-free local read.
-  Route(client_dc, client_dc, [this, client_dc, key, done = std::move(done)]() {
-    const DcState& st = dc_state_[static_cast<size_t>(client_dc)];
-    if (st.down) return;
-    Datacenter& d = *dcs_[static_cast<size_t>(client_dc)];
-    d.service.Submit(config_.service.read, [this, key, client_dc,
-                                            gen = st.gen,
-                                            done = std::move(done)]() {
-      const DcState& st = dc_state_[static_cast<size_t>(client_dc)];
-      if (st.down || gen != st.gen) return;
-      if (st.recovering) {
-        RouteBack(client_dc, client_dc, [done]() {
-          done(Status::Unavailable("recovering"));
-        });
-        return;
-      }
-      auto r = dcs_[static_cast<size_t>(client_dc)]->store.Read(key);
-      RouteBack(client_dc, client_dc,
-                [done, r = std::move(r)]() { done(r); });
-    });
-  });
-}
-
-void ReplicatedCommitCluster::ClientCommit(DcId client_dc,
-                                           std::vector<ReadEntry> reads,
-                                           std::vector<WriteEntry> writes,
-                                           CommitCallback done) {
-  TxnCommit(client_dc, BeginTxn(client_dc), std::move(reads),
-            std::move(writes), std::move(done));
+  ReadAt(client_dc, client_dc, {key},
+         [done = std::move(done)](std::vector<Result<VersionedValue>> r) {
+           done(std::move(r[0]));
+         });
 }
 
 void ReplicatedCommitCluster::ClientReadOnly(DcId client_dc,
                                              std::vector<Key> keys,
                                              ReadOnlyCallback done) {
-  Route(client_dc, client_dc, [this, client_dc, keys = std::move(keys),
-                               done = std::move(done)]() {
-    const DcState& st = dc_state_[static_cast<size_t>(client_dc)];
-    if (st.down) return;
-    Datacenter& d = *dcs_[static_cast<size_t>(client_dc)];
-    d.service.Submit(
-        config_.service.read * static_cast<Duration>(keys.size()),
-        [this, keys, client_dc, gen = st.gen, done = std::move(done)]() {
-          const DcState& st = dc_state_[static_cast<size_t>(client_dc)];
-          if (st.down || gen != st.gen) return;
-          std::vector<Result<VersionedValue>> out;
-          if (st.recovering) {
-            out.assign(keys.size(),
-                       Result<VersionedValue>(Status::Unavailable("recovering")));
-          } else {
-            Datacenter& d = *dcs_[static_cast<size_t>(client_dc)];
-            out.reserve(keys.size());
-            for (const Key& k : keys) out.push_back(d.store.Read(k));
-          }
-          RouteBack(client_dc, client_dc,
-                    [done, out = std::move(out)]() { done(out); });
-        });
-  });
-}
-
-// --- Crash recovery ------------------------------------------------------------
-
-bool ReplicatedCommitCluster::JournalCommit(DcId dc, const TxnId& txn,
-                                            TxnBodyPtr body,
-                                            Timestamp version_ts) {
-  if (!journaled_[static_cast<size_t>(dc)].insert(txn).second) return false;
-  rdict::LogRecord rec;
-  rec.type = rdict::RecordType::kFinished;
-  rec.committed = true;
-  rec.ts = version_ts;
-  rec.version_ts = version_ts;
-  rec.origin = txn.origin;
-  rec.body = std::move(body);
-  (void)wals_[static_cast<size_t>(dc)]->AppendRecord(rec);
-  return true;
-}
-
-void ReplicatedCommitCluster::SetDatacenterDown(DcId dc, bool down) {
-  DcState& st = dc_state_[static_cast<size_t>(dc)];
-  if (down) {
-    if (st.down) return;
-    // Crash with amnesia: destroy the Datacenter object — lock table,
-    // store and service queue vanish; only the WAL journal (and its
-    // TxnId mirror) survives. A fresh shell replaces it so closures
-    // queued against the old object hit the generation guard instead of
-    // freed memory.
-    dcs_[static_cast<size_t>(dc)] = std::make_unique<Datacenter>(scheduler_);
-    ++st.gen;
-    st.down = true;
-    st.recovering = false;
-    return;
-  }
-  if (!st.down) return;
-  st.down = false;
-  st.recovering = true;
-  const sim::SimTime started = scheduler_->Now();
-  const uint64_t gen = st.gen;
-  // Restore: data loaded outside the protocol first (same TxnIds as the
-  // original loads, since they replay in order from 1), then the journal
-  // of every decision this datacenter had applied before the crash.
-  Datacenter& d = *dcs_[static_cast<size_t>(dc)];
-  uint64_t load_seq = 1;
-  for (const auto& [key, value] : initial_loads_) {
-    d.store.ApplyWrite(key, value, kMinTimestamp, TxnId{-2, load_seq++});
-  }
-  const auto& journal = wals_[static_cast<size_t>(dc)]->contents().records;
-  for (const auto& rec : journal) {
-    if (rec.body != nullptr) d.store.ApplyTxn(*rec.body, rec.version_ts);
-  }
-  const uint64_t replayed = journal.size();
-  // Catch-up: pull the journal from the first live peer and apply the
-  // decisions missed during the outage. One peer suffices — every peer's
-  // journal holds every decision it applied, and any decision a majority
-  // committed was applied at every live datacenter.
-  DcId peer = kInvalidDc;
-  for (DcId p = 0; p < config_.num_datacenters; ++p) {
-    if (p != dc && !dc_state_[static_cast<size_t>(p)].down) {
-      peer = p;
-      break;
-    }
-  }
-  if (peer == kInvalidDc) {
-    FinishRecovery(dc, replayed, 0, started);
-    return;
-  }
-  WanSend(dc, peer, [this, dc, peer, gen, replayed, started]() {
-    const DcState& ps = dc_state_[static_cast<size_t>(peer)];
-    if (ps.down) return;  // Request lost; the guard below finishes.
-    dcs_[static_cast<size_t>(peer)]->service.Submit(
-        config_.service.read, [this, dc, peer, gen, replayed, started]() {
-          if (dc_state_[static_cast<size_t>(peer)].down) return;
-          auto records = std::make_shared<std::vector<rdict::LogRecord>>(
-              wals_[static_cast<size_t>(peer)]->contents().records);
-          WanSend(peer, dc, [this, dc, gen, replayed, started, records]() {
-            const DcState& st = dc_state_[static_cast<size_t>(dc)];
-            if (st.down || gen != st.gen || !st.recovering) return;
-            Datacenter& d = *dcs_[static_cast<size_t>(dc)];
-            uint64_t fresh = 0;
-            for (const auto& rec : *records) {
-              if (rec.body == nullptr) continue;
-              // JournalCommit dedups against everything already applied —
-              // the pre-crash journal and decisions broadcast since the
-              // restart.
-              if (!JournalCommit(dc, rec.body->id, rec.body,
-                                 rec.version_ts)) {
-                continue;
-              }
-              d.store.ApplyTxn(*rec.body, rec.version_ts);
-              ++fresh;
-            }
-            FinishRecovery(dc, replayed, fresh, started);
-          });
-        });
-  });
-  // Guard: if the peer crashes before answering, rejoin with the local
-  // journal alone rather than staying wedged in the recovering state.
-  scheduler_->After(config_.decision_timeout,
-                    [this, dc, gen, replayed, started]() {
-                      const DcState& st = dc_state_[static_cast<size_t>(dc)];
-                      if (st.down || gen != st.gen || !st.recovering) return;
-                      FinishRecovery(dc, replayed, 0, started);
-                    });
-}
-
-void ReplicatedCommitCluster::FinishRecovery(DcId dc, uint64_t records_replayed,
-                                             uint64_t catchup_records,
-                                             sim::SimTime started) {
-  DcState& st = dc_state_[static_cast<size_t>(dc)];
-  if (!st.recovering) return;  // Already finished.
-  st.recovering = false;
-  ++recovery_stats_.recoveries;
-  recovery_stats_.records_replayed += records_replayed;
-  recovery_stats_.catchup_records += catchup_records;
-  const sim::SimTime now = scheduler_->Now();
-  recovery_stats_.duration_us += static_cast<uint64_t>(now - started);
-  if (trace_ != nullptr) {
-    trace_->Span(obs::EventKind::kNodeRecover, dc, TxnId{}, started, now,
-                 kInvalidDc, "journal-replay+peer-catchup");
-  }
+  ReadAt(client_dc, client_dc, std::move(keys), std::move(done));
 }
 
 }  // namespace helios::baselines

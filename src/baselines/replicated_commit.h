@@ -20,50 +20,22 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "api/protocol.h"
-#include "core/helios_config.h"
-#include "core/history.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "sim/clock.h"
-#include "sim/network.h"
-#include "sim/scheduler.h"
-#include "sim/service_queue.h"
+#include "baselines/replica_cluster.h"
 #include "store/lock_table.h"
-#include "store/mv_store.h"
-#include "wal/wal_sink.h"
 
 namespace helios::baselines {
 
-struct ReplicatedCommitConfig {
-  int num_datacenters = 0;
-  Duration client_link_one_way = Micros(500);
-  /// A transaction whose votes cannot complete (e.g. datacenter outages)
-  /// aborts after this long.
-  Duration decision_timeout = Seconds(5);
-  core::ServiceModel service;
-  std::vector<Duration> clock_offsets;
-};
-
-class ReplicatedCommitCluster : public ProtocolCluster {
+class ReplicatedCommitCluster : public ReplicaCluster {
  public:
   ReplicatedCommitCluster(sim::Scheduler* scheduler, sim::Network* network,
-                          ReplicatedCommitConfig config);
+                          ReplicaConfig config);
 
-  void Start() override {}
-  void LoadInitialAll(const Key& key, const Value& value) override;
   void ClientRead(DcId client_dc, const Key& key, ReadCallback done) override;
-  void ClientCommit(DcId client_dc, std::vector<ReadEntry> reads,
-                    std::vector<WriteEntry> writes,
-                    CommitCallback done) override;
   void ClientReadOnly(DcId client_dc, std::vector<Key> keys,
                       ReadOnlyCallback done) override;
 
-  TxnId BeginTxn(DcId client_dc) override;
   void TxnRead(DcId client_dc, const TxnId& txn, const Key& key,
                ReadCallback done) override;
   void TxnCommit(DcId client_dc, const TxnId& txn,
@@ -72,68 +44,30 @@ class ReplicatedCommitCluster : public ProtocolCluster {
   void TxnAbandon(DcId client_dc, const TxnId& txn) override;
 
   std::string name() const override { return "ReplicatedCommit"; }
-  int num_datacenters() const override { return config_.num_datacenters; }
 
-  /// Observability (src/obs): commit/abort decision events and a total-
-  /// latency histogram per outcome, measured over the vote round.
-  void SetObservability(obs::TraceRecorder* trace,
-                        obs::MetricsRegistry* metrics) override;
-  void ExportMetrics(obs::MetricsRegistry* registry) const override;
-
-  /// Routes inter-datacenter RPCs through `mesh`; unlike Helios, the vote
-  /// rounds here are not loss-tolerant, so chaos runs need this.
-  void SetReliableMesh(sim::ReliableMesh* mesh) override { mesh_ = mesh; }
-
-  /// Node-process half of an outage. `down` crashes the datacenter with
-  /// amnesia (lock table, store and service queue destroyed; only the WAL
-  /// journal of applied decisions survives). `!down` replays the journal,
-  /// then pulls the decisions it missed from the first live peer. While
-  /// catching up the datacenter refuses lock-reads and votes.
-  void SetDatacenterDown(DcId dc, bool down) override;
-
-  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-  bool datacenter_down(DcId dc) const override {
-    return dc_state_[static_cast<size_t>(dc)].down;
+  const LockTable& locks(DcId dc) const {
+    return locks_[static_cast<size_t>(dc)];
   }
-
-  // Checker observation points (src/check).
-  const wal::MemoryWal* wal_journal(DcId dc) const override {
-    return wals_[static_cast<size_t>(dc)].get();
-  }
-  void SnapshotStore(
-      DcId dc, const std::function<void(const Key&, const VersionedValue&)>&
-                   fn) const override {
-    store(dc).ForEachLatest(fn);
-  }
-  RecoveryStats recovery_snapshot() const override { return recovery_stats_; }
-
-  const MvStore& store(DcId dc) const { return dcs_[dc]->store; }
-  const LockTable& locks(DcId dc) const { return dcs_[dc]->locks; }
-  core::HistoryRecorder& history() { return history_; }
-  uint64_t commits() const { return commits_; }
-  uint64_t aborts() const { return aborts_; }
 
  private:
-  struct Datacenter {
-    explicit Datacenter(sim::Scheduler* scheduler)
-        : locks(LockPolicy::kNoWait), service(scheduler) {}
-    LockTable locks;
-    MvStore store;
-    sim::ServiceQueue service;
-  };
-
   struct VoteReply {
     bool yes = false;
     Timestamp max_write_version_ts = kMinTimestamp;
   };
 
-  /// Runs `fn` at datacenter `target` after the client's network latency
-  /// from `home` (client link only when target is the home datacenter).
-  void Route(DcId home, DcId target, std::function<void()> fn);
-  /// Runs `fn` back at the client after the reverse latency.
-  void RouteBack(DcId target, DcId home, std::function<void()> fn);
-  /// One WAN hop, through the reliable mesh when installed.
-  void WanSend(DcId from, DcId to, std::function<void()> fn);
+  /// The client-side vote count of one commit.
+  struct Tally {
+    int yes = 0;
+    int no = 0;
+    bool decided = false;
+    /// The client gave up on the transaction (TxnAbandon) and broadcast
+    /// its abort, releasing its locks: the tally must not commit it.
+    bool abandoned = false;
+    Timestamp max_write_version_ts = kMinTimestamp;
+  };
+
+  /// A crash also loses the datacenter's lock table.
+  void OnCrash(DcId dc) override;
 
   // Server-side handlers; `reply` is routed back to the client by the
   // caller.
@@ -150,54 +84,9 @@ class ReplicatedCommitCluster : public ProtocolCluster {
   void BroadcastDecision(DcId home, const TxnId& txn, bool commit,
                          TxnBodyPtr body, Timestamp version_ts);
 
-  /// Persists one applied commit decision into `dc`'s WAL journal.
-  /// Returns false (and journals nothing) when `txn` is already journaled
-  /// there — the apply-side dedup that makes broadcast + catch-up
-  /// delivery of the same decision idempotent.
-  bool JournalCommit(DcId dc, const TxnId& txn, TxnBodyPtr body,
-                     Timestamp version_ts);
-  /// Ends `dc`'s catch-up phase and accounts the recovery.
-  void FinishRecovery(DcId dc, uint64_t records_replayed,
-                      uint64_t catchup_records, sim::SimTime started);
-
-  /// Records the trace events and histogram sample for a decision reached
-  /// at `now` for a commit request that entered at `t0`.
-  void RecordDecision(DcId dc, const TxnId& txn, bool commit,
-                      sim::SimTime t0, const std::string& reason);
-
-  /// Crash/recovery state per datacenter. `gen` increments on every
-  /// amnesia restart so closures queued against the destroyed Datacenter
-  /// object become no-ops instead of acting on its replacement.
-  struct DcState {
-    bool down = false;
-    bool recovering = false;
-    uint64_t gen = 0;
-  };
-
-  sim::Scheduler* scheduler_;
-  sim::Network* network_;
-  sim::ReliableMesh* mesh_ = nullptr;
-  ReplicatedCommitConfig config_;
-  std::vector<std::unique_ptr<Datacenter>> dcs_;
-  std::vector<std::unique_ptr<sim::Clock>> clocks_;
-  /// Per-datacenter durable journal of applied commit decisions; survives
-  /// the Datacenter object across amnesia restarts.
-  std::vector<std::unique_ptr<wal::MemoryWal>> wals_;
-  /// Mirror of each WAL's TxnId set (durable, like the WAL itself);
-  /// JournalCommit consults it so decisions apply exactly once.
-  std::vector<std::unordered_set<TxnId, TxnIdHash>> journaled_;
-  std::vector<DcState> dc_state_;
-  std::vector<std::pair<Key, Value>> initial_loads_;
-  RecoveryStats recovery_stats_;
-  std::unordered_map<TxnId, Timestamp, TxnIdHash> txn_start_ts_;
-  core::HistoryRecorder history_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::Histogram* h_commit_total_us_ = nullptr;
-  obs::Histogram* h_abort_total_us_ = nullptr;
-  uint64_t commits_ = 0;
-  uint64_t aborts_ = 0;
-  uint64_t next_ro_seq_ = 1;
-  uint64_t next_load_seq_ = 1;
+  std::vector<LockTable> locks_;  ///< One no-wait table per datacenter.
+  /// Tallies still waiting for a decision, so TxnAbandon can find them.
+  std::unordered_map<TxnId, std::shared_ptr<Tally>, TxnIdHash> open_tallies_;
 };
 
 }  // namespace helios::baselines

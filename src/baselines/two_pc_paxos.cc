@@ -1,63 +1,57 @@
 #include "baselines/two_pc_paxos.h"
 
-#include <algorithm>
 #include <cassert>
-
-#include "sim/reliable.h"
 
 namespace helios::baselines {
 
+namespace {
+
+/// A commit whose Paxos round cannot complete (e.g. no live majority)
+/// aborts after this long.
+constexpr Duration kDecisionTimeout = Seconds(10);
+
+}  // namespace
+
 TwoPcPaxosCluster::TwoPcPaxosCluster(sim::Scheduler* scheduler,
                                      sim::Network* network,
-                                     TwoPcPaxosConfig config)
-    : scheduler_(scheduler),
-      network_(network),
-      config_(std::move(config)),
-      stores_(static_cast<size_t>(config_.num_datacenters)) {
-  assert(network_->size() == config_.num_datacenters);
-  assert(config_.coordinator >= 0 &&
-         config_.coordinator < config_.num_datacenters);
-  for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    const Duration offset =
-        config_.clock_offsets.empty()
-            ? 0
-            : config_.clock_offsets[static_cast<size_t>(dc)];
-    clocks_.push_back(std::make_unique<sim::Clock>(scheduler_, offset));
-    services_.push_back(std::make_unique<sim::ServiceQueue>(scheduler_));
-    wals_.push_back(std::make_unique<wal::MemoryWal>());
-  }
-  journaled_.resize(static_cast<size_t>(config_.num_datacenters));
-  dc_state_.resize(static_cast<size_t>(config_.num_datacenters));
-  acceptors_.resize(static_cast<size_t>(config_.num_datacenters));
-  lock_table_ = std::make_unique<LockTable>(LockPolicy::kWoundWait);
-  lock_table_->set_wound_handler([this](TxnId victim) {
+                                     ReplicaConfig config, DcId coordinator)
+    : ReplicaCluster(scheduler, network, std::move(config)),
+      coordinator_(coordinator),
+      acceptors_(static_cast<size_t>(config_.num_datacenters)) {
+  assert(coordinator_ >= 0 && coordinator_ < config_.num_datacenters);
+  lock_table_ = MakeLockTable();
+  replicator_ = MakeReplicator();
+}
+
+std::unique_ptr<LockTable> TwoPcPaxosCluster::MakeLockTable() {
+  auto table = std::make_unique<LockTable>(LockPolicy::kWoundWait);
+  table->set_wound_handler([this](TxnId victim) {
     // Wound-wait killed the transaction; its pending lock callbacks were
     // cancelled with kAborted by the table. Remember it so later requests
     // from the same client abort fast.
     doomed_.insert(victim);
   });
-  replicator_ = MakeReplicator();
+  return table;
 }
 
 std::unique_ptr<paxos::Replicator> TwoPcPaxosCluster::MakeReplicator() {
-  const DcId coord = config_.coordinator;
+  const DcId coord = coordinator_;
   return std::make_unique<paxos::Replicator>(
       coord, config_.num_datacenters, /*lease=*/true, &acceptors_[coord],
       /*send_prepare=*/
       [this, coord](DcId peer, const paxos::PrepareRequest& req) {
-        const uint64_t gen = dc_state_[static_cast<size_t>(coord)].gen;
+        const uint64_t gen = state(coord).gen;
         WanSend(coord, peer, [this, coord, peer, gen, req]() {
-          if (dc_state_[static_cast<size_t>(peer)].down) return;
-          services_[static_cast<size_t>(peer)]->Submit(
+          if (state(peer).down) return;
+          replica(peer).service.Submit(
               config_.service.log_message, [this, coord, peer, gen, req]() {
-                if (dc_state_[static_cast<size_t>(peer)].down) return;
+                if (state(peer).down) return;
                 // Acceptor state is durable: a recovering datacenter may
                 // vote immediately.
                 const paxos::PrepareReply reply =
                     acceptors_[static_cast<size_t>(peer)].OnPrepare(req);
                 WanSend(peer, coord, [this, coord, gen, peer, reply]() {
-                  const DcState& cs = dc_state_[static_cast<size_t>(coord)];
-                  if (cs.down || gen != cs.gen) return;
+                  if (!Alive(coord, gen)) return;
                   replicator_->OnPrepareReply(peer, reply);
                 });
               });
@@ -65,20 +59,18 @@ std::unique_ptr<paxos::Replicator> TwoPcPaxosCluster::MakeReplicator() {
       },
       /*send_accept=*/
       [this, coord](DcId peer, const paxos::AcceptRequest& req) {
-        const uint64_t gen = dc_state_[static_cast<size_t>(coord)].gen;
+        const uint64_t gen = state(coord).gen;
         WanSend(coord, peer, [this, coord, peer, gen, req]() {
-          if (dc_state_[static_cast<size_t>(peer)].down) return;
-          services_[static_cast<size_t>(peer)]->Submit(
+          if (state(peer).down) return;
+          replica(peer).service.Submit(
               config_.service.log_message, [this, coord, peer, gen, req]() {
-                if (dc_state_[static_cast<size_t>(peer)].down) return;
+                if (state(peer).down) return;
                 const paxos::AcceptReply reply =
                     acceptors_[static_cast<size_t>(peer)].OnAccept(req);
                 WanSend(peer, coord, [this, coord, gen, peer, reply]() {
-                  const DcState& cs = dc_state_[static_cast<size_t>(coord)];
-                  if (cs.down || gen != cs.gen) return;
+                  if (!Alive(coord, gen)) return;
                   // Processing the vote occupies the coordinator.
-                  services_[static_cast<size_t>(coord)]->Charge(
-                      config_.service.log_message);
+                  replica(coord).service.Charge(config_.service.log_message);
                   replicator_->OnAcceptReply(peer, reply);
                 });
               });
@@ -86,88 +78,68 @@ std::unique_ptr<paxos::Replicator> TwoPcPaxosCluster::MakeReplicator() {
       });
 }
 
-void TwoPcPaxosCluster::WanSend(DcId from, DcId to,
-                                std::function<void()> fn) {
-  if (mesh_ != nullptr) {
-    mesh_->Send(from, to, std::move(fn));
-  } else {
-    network_->Send(from, to, std::move(fn));
+void TwoPcPaxosCluster::OnCrash(DcId dc) {
+  if (dc != coordinator_) return;
+  lock_table_ = MakeLockTable();
+  doomed_.clear();
+  committing_.clear();
+  txn_start_ts_.clear();
+  replicator_ = MakeReplicator();
+}
+
+std::vector<DcId> TwoPcPaxosCluster::CatchupSources(DcId dc) const {
+  std::vector<DcId> sources;
+  if (dc != coordinator_) sources.push_back(coordinator_);
+  for (DcId p = 0; p < config_.num_datacenters; ++p) {
+    if (p != dc && p != coordinator_) sources.push_back(p);
   }
+  return sources;
 }
 
-void TwoPcPaxosCluster::ToCoordinator(DcId home, std::function<void()> fn) {
-  if (home == config_.coordinator) {
-    scheduler_->After(config_.client_link_one_way, std::move(fn));
-  } else {
-    scheduler_->After(config_.client_link_one_way,
-                      [this, home, fn = std::move(fn)]() {
-                        WanSend(home, config_.coordinator, fn);
-                      });
-  }
-}
-
-void TwoPcPaxosCluster::FromCoordinator(DcId home, std::function<void()> fn) {
-  if (home == config_.coordinator) {
-    scheduler_->After(config_.client_link_one_way, std::move(fn));
-  } else {
-    WanSend(config_.coordinator, home, [this, fn = std::move(fn)]() {
-      scheduler_->After(config_.client_link_one_way, fn);
-    });
-  }
-}
-
-TxnId TwoPcPaxosCluster::BeginTxn(DcId client_dc) {
-  const TxnId id = ProtocolCluster::BeginTxn(client_dc);
-  txn_start_ts_[id] = clocks_[static_cast<size_t>(client_dc)]->NowUnique();
-  return id;
-}
-
-Timestamp TwoPcPaxosCluster::StartTs(DcId home, const TxnId& txn) {
-  auto it = txn_start_ts_.find(txn);
-  if (it != txn_start_ts_.end()) return it->second;
-  return clocks_[static_cast<size_t>(home)]->Now();
+void TwoPcPaxosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
+  ReplicaCluster::ExportMetrics(registry);
+  registry->counter("protocol.wounds").Set(lock_table_->wounds());
 }
 
 void TwoPcPaxosCluster::TxnRead(DcId client_dc, const TxnId& txn,
                                 const Key& key, ReadCallback done) {
   const Timestamp start_ts = StartTs(client_dc, txn);
-  ToCoordinator(client_dc, [this, client_dc, txn, start_ts, key,
-                            done = std::move(done)]() {
-    const DcState& cs = dc_state_[static_cast<size_t>(config_.coordinator)];
-    if (cs.down) return;  // A crashed coordinator drops everything.
-    sim::ServiceQueue& svc =
-        *services_[static_cast<size_t>(config_.coordinator)];
-    svc.Submit(config_.service.read + config_.service.lock_op,
-               [this, client_dc, txn, start_ts, key, gen = cs.gen, done]() {
-      const DcState& cs = dc_state_[static_cast<size_t>(config_.coordinator)];
-      if (cs.down || gen != cs.gen) return;  // Crashed while queued.
-      if (cs.recovering) {
-        // The store is mid-catch-up; locking against it could validate
-        // reads on stale versions.
-        FromCoordinator(client_dc, [done]() {
-          done(Status::Unavailable("recovering"));
+  Route(client_dc, coordinator_, [this, client_dc, txn, start_ts, key,
+                                  done = std::move(done)]() {
+    // A crashed coordinator drops everything.
+    if (state(coordinator_).down) return;
+    replica(coordinator_).service.Submit(
+        config_.service.read + config_.service.lock_op,
+        [this, client_dc, txn, start_ts, key, gen = state(coordinator_).gen,
+         done]() {
+          if (!Alive(coordinator_, gen)) return;  // Crashed while queued.
+          if (state(coordinator_).recovering) {
+            // The store is mid-catch-up; locking against it could validate
+            // reads on stale versions.
+            RouteBack(coordinator_, client_dc, [done]() {
+              done(Status::Unavailable("recovering"));
+            });
+            return;
+          }
+          if (Doomed(txn)) {
+            RouteBack(coordinator_, client_dc, [done]() {
+              done(Status::Aborted("transaction wounded"));
+            });
+            return;
+          }
+          // Wound-wait: this may grant now, later, or cancel with kAborted.
+          lock_table_->Acquire(
+              key, LockMode::kShared, txn, start_ts,
+              [this, client_dc, key, done](Status s) {
+                if (!s.ok()) {
+                  RouteBack(coordinator_, client_dc, [done, s]() { done(s); });
+                  return;
+                }
+                auto r = replica(coordinator_).store.Read(key);
+                RouteBack(coordinator_, client_dc,
+                          [done, r = std::move(r)]() { done(r); });
+              });
         });
-        return;
-      }
-      if (Doomed(txn)) {
-        FromCoordinator(client_dc, [done]() {
-          done(Status::Aborted("transaction wounded"));
-        });
-        return;
-      }
-      // Wound-wait: this may grant now, later, or cancel with kAborted.
-      lock_table_->Acquire(
-          key, LockMode::kShared, txn, start_ts,
-          [this, client_dc, key, done](Status s) {
-            if (!s.ok()) {
-              FromCoordinator(client_dc, [done, s]() { done(s); });
-              return;
-            }
-            auto r = stores_[static_cast<size_t>(config_.coordinator)].Read(key);
-            FromCoordinator(client_dc,
-                            [done, r = std::move(r)]() { done(r); });
-          });
-    });
   });
 }
 
@@ -191,7 +163,7 @@ void TwoPcPaxosCluster::AcquireWriteLocks(const TxnId& txn, Timestamp start_ts,
 
 bool TwoPcPaxosCluster::ValidateReads(const TxnId& txn, Timestamp start_ts,
                                       const TxnBody& body) {
-  const MvStore& store = stores_[static_cast<size_t>(config_.coordinator)];
+  const MvStore& store = replica(coordinator_).store;
   for (const ReadEntry& r : body.read_set) {
     if (lock_table_->Holds(r.key, txn, LockMode::kShared)) continue;
     // The read was not performed through TxnRead (or its lock was lost):
@@ -210,39 +182,30 @@ bool TwoPcPaxosCluster::ValidateReads(const TxnId& txn, Timestamp start_ts,
 void TwoPcPaxosCluster::FinishAtCoordinator(DcId home, const TxnId& txn,
                                             TxnBodyPtr body, bool commit,
                                             CommitCallback done) {
-  const DcId coord = config_.coordinator;
-  if (dc_state_[static_cast<size_t>(coord)].down) return;
+  const DcId coord = coordinator_;
+  if (state(coord).down) return;
   if (commit) {
-    const Timestamp version_ts =
-        clocks_[static_cast<size_t>(coord)]->NowUnique();
-    services_[static_cast<size_t>(coord)]->Charge(
+    const Timestamp version_ts = clock(coord).NowUnique();
+    replica(coord).service.Charge(
         config_.service.write_apply *
         static_cast<Duration>(body->write_set.size()));
-    // Journal-then-apply; the dedup makes learner delivery, catch-up and
-    // replay of the same transaction idempotent.
-    if (JournalApply(coord, txn, body, version_ts)) {
-      stores_[static_cast<size_t>(coord)].ApplyTxn(*body, version_ts);
-    }
+    ApplyDecision(coord, body, version_ts);
     ++commits_;
     history_.RecordCommit(core::CommittedTxn{txn, home, version_ts, body});
     // Learners: ship the decided transaction to every replica. Building
     // and sending each message occupies the coordinator.
     for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
       if (dc == coord) continue;
-      const uint64_t gen = dc_state_[static_cast<size_t>(dc)].gen;
-      services_[static_cast<size_t>(coord)]->Charge(
-          config_.service.log_message);
-      WanSend(coord, dc, [this, dc, gen, txn, body, version_ts]() {
-        if (dc_state_[static_cast<size_t>(dc)].down) return;
-        services_[static_cast<size_t>(dc)]->Submit(
+      const uint64_t gen = state(dc).gen;
+      replica(coord).service.Charge(config_.service.log_message);
+      WanSend(coord, dc, [this, dc, gen, body, version_ts]() {
+        if (state(dc).down) return;
+        replica(dc).service.Submit(
             config_.service.write_apply *
                 static_cast<Duration>(body->write_set.size()),
-            [this, dc, gen, txn, body, version_ts]() {
-              const DcState& st = dc_state_[static_cast<size_t>(dc)];
-              if (st.down || gen != st.gen) return;
-              if (JournalApply(dc, txn, body, version_ts)) {
-                stores_[static_cast<size_t>(dc)].ApplyTxn(*body, version_ts);
-              }
+            [this, dc, gen, body, version_ts]() {
+              if (!Alive(dc, gen)) return;
+              ApplyDecision(dc, body, version_ts);
             });
       });
     }
@@ -251,8 +214,9 @@ void TwoPcPaxosCluster::FinishAtCoordinator(DcId home, const TxnId& txn,
   }
   lock_table_->ReleaseAll(txn);
   doomed_.erase(txn);
+  committing_.erase(txn);
   txn_start_ts_.erase(txn);
-  FromCoordinator(home, [done, txn, commit]() {
+  RouteBack(coord, home, [done, txn, commit]() {
     done(CommitOutcome{txn, commit, commit ? "" : "2pc:abort"});
   });
 }
@@ -260,9 +224,8 @@ void TwoPcPaxosCluster::FinishAtCoordinator(DcId home, const TxnId& txn,
 void TwoPcPaxosCluster::CoordinatorCommit(DcId home, const TxnId& txn,
                                           TxnBodyPtr body,
                                           CommitCallback done) {
+  committing_.insert(txn);
   if (Doomed(txn)) {
-    lock_table_->ReleaseAll(txn);
-    doomed_.erase(txn);
     FinishAtCoordinator(home, txn, body, false, done);
     return;
   }
@@ -278,78 +241,32 @@ void TwoPcPaxosCluster::CoordinatorCommit(DcId home, const TxnId& txn,
         // majority before acknowledging the commit (Spanner-style
         // durability of the commit record).
         auto decided = std::make_shared<bool>(false);
-        const uint64_t gen =
-            dc_state_[static_cast<size_t>(config_.coordinator)].gen;
+        const uint64_t gen = state(coordinator_).gen;
         replicator_->Replicate(
             txn.ToString(),
             [this, home, txn, body, done, decided, gen](
                 paxos::SlotId, const paxos::PaxosValue&) {
               if (*decided) return;
               *decided = true;
-              services_[static_cast<size_t>(config_.coordinator)]->Submit(
+              replica(coordinator_).service.Submit(
                   config_.service.commit_request,
                   [this, home, txn, body, done, gen]() {
-                    const DcState& cs =
-                        dc_state_[static_cast<size_t>(config_.coordinator)];
-                    if (cs.down || gen != cs.gen) return;
-                    // The transaction may have been wounded (and its locks
-                    // released) while the Paxos round was in flight; it
-                    // must abort in that case or a conflicting transaction
-                    // could slip through its released locks.
+                    if (!Alive(coordinator_, gen)) return;
+                    // The transaction may have been wounded or abandoned
+                    // (and its locks released) while the Paxos round was in
+                    // flight; it must abort in that case or a conflicting
+                    // transaction could slip through its released locks.
                     FinishAtCoordinator(home, txn, body, !Doomed(txn), done);
                   });
             });
-        scheduler_->After(config_.decision_timeout,
+        scheduler_->After(kDecisionTimeout,
                           [this, home, txn, body, done, decided, gen]() {
                             if (*decided) return;
                             *decided = true;
-                            const DcState& cs = dc_state_[static_cast<size_t>(
-                                config_.coordinator)];
-                            if (cs.down || gen != cs.gen) return;
+                            if (!Alive(coordinator_, gen)) return;
                             FinishAtCoordinator(home, txn, body, false, done);
                           });
       });
-}
-
-void TwoPcPaxosCluster::SetObservability(obs::TraceRecorder* trace,
-                                         obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  h_commit_total_us_ =
-      metrics == nullptr ? nullptr : &metrics->histogram("txn.commit_total_us");
-  h_abort_total_us_ =
-      metrics == nullptr ? nullptr : &metrics->histogram("txn.abort_total_us");
-}
-
-void TwoPcPaxosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
-  registry->counter("protocol.commits").Set(commits_);
-  registry->counter("protocol.aborts").Set(aborts_);
-  registry->counter("protocol.wounds").Set(lock_table_->wounds());
-  // Gated on an actual recovery so crash-free snapshots keep their
-  // pre-existing key set byte for byte.
-  if (recovery_stats_.recoveries > 0) {
-    registry->counter("recovery.recoveries").Set(recovery_stats_.recoveries);
-    registry->counter("recovery.records_replayed")
-        .Set(recovery_stats_.records_replayed);
-    registry->counter("recovery.catchup_records")
-        .Set(recovery_stats_.catchup_records);
-    registry->counter("recovery.duration_us")
-        .Set(recovery_stats_.duration_us);
-  }
-}
-
-void TwoPcPaxosCluster::RecordDecision(DcId dc, const TxnId& txn, bool commit,
-                                       sim::SimTime t0,
-                                       const std::string& reason) {
-  const sim::SimTime now = scheduler_->Now();
-  if (trace_ != nullptr) {
-    trace_->Span(obs::EventKind::kTxnServer, dc, txn, t0, now, kInvalidDc,
-                 reason);
-    trace_->Instant(commit ? obs::EventKind::kTxnCommit
-                           : obs::EventKind::kTxnAbort,
-                    dc, txn, now, kInvalidDc, reason);
-  }
-  obs::Histogram* h = commit ? h_commit_total_us_ : h_abort_total_us_;
-  if (h != nullptr) h->Observe(static_cast<double>(now - t0));
 }
 
 void TwoPcPaxosCluster::TxnCommit(DcId client_dc, const TxnId& txn,
@@ -357,7 +274,7 @@ void TwoPcPaxosCluster::TxnCommit(DcId client_dc, const TxnId& txn,
                                   std::vector<WriteEntry> writes,
                                   CommitCallback done) {
   TxnBodyPtr body = MakeTxnBody(txn, std::move(reads), std::move(writes));
-  if (trace_ != nullptr || h_commit_total_us_ != nullptr) {
+  if (observed()) {
     // The decision point lives deep in the coordinator's async pipeline;
     // wrapping the client callback captures request -> decision-delivery
     // (one client link longer than the coordinator's own processing).
@@ -369,10 +286,9 @@ void TwoPcPaxosCluster::TxnCommit(DcId client_dc, const TxnId& txn,
       done(outcome);
     };
   }
-  ToCoordinator(client_dc, [this, client_dc, txn, body,
-                            done = std::move(done)]() {
-    const DcState& cs = dc_state_[static_cast<size_t>(config_.coordinator)];
-    if (cs.down) return;
+  Route(client_dc, coordinator_, [this, client_dc, txn, body,
+                                  done = std::move(done)]() {
+    if (state(coordinator_).down) return;
     // Commit processing at the coordinator: the 2PC bookkeeping plus one
     // lock-table operation per write lock and read validation.
     const Duration cost =
@@ -380,13 +296,12 @@ void TwoPcPaxosCluster::TxnCommit(DcId client_dc, const TxnId& txn,
         config_.service.lock_op *
             static_cast<Duration>(body->read_set.size() +
                                   body->write_set.size());
-    services_[static_cast<size_t>(config_.coordinator)]->Submit(
-        cost, [this, client_dc, txn, body, gen = cs.gen, done]() {
-          const DcState& cs =
-              dc_state_[static_cast<size_t>(config_.coordinator)];
-          if (cs.down || gen != cs.gen) return;
-          if (cs.recovering) {
-            FromCoordinator(client_dc, [txn, done]() {
+    replica(coordinator_).service.Submit(
+        cost, [this, client_dc, txn, body, gen = state(coordinator_).gen,
+               done]() {
+          if (!Alive(coordinator_, gen)) return;
+          if (state(coordinator_).recovering) {
+            RouteBack(coordinator_, client_dc, [txn, done]() {
               done(CommitOutcome{txn, false, "recovering"});
             });
             return;
@@ -396,220 +311,35 @@ void TwoPcPaxosCluster::TxnCommit(DcId client_dc, const TxnId& txn,
   });
 }
 
-void TwoPcPaxosCluster::LoadInitialAll(const Key& key, const Value& value) {
-  // kMinTimestamp, not 0: skewed client clocks can stamp early commits
-  // with negative timestamps, and the initial version must never shadow a
-  // committed write in the (ts, writer) version order.
-  const TxnId loader{-2, next_load_seq_++};
-  initial_loads_.emplace_back(key, value);
-  for (auto& store : stores_) {
-    store.ApplyWrite(key, value, kMinTimestamp, loader);
-  }
-}
-
 void TwoPcPaxosCluster::TxnAbandon(DcId client_dc, const TxnId& txn) {
-  ToCoordinator(client_dc, [this, txn]() {
-    if (dc_state_[static_cast<size_t>(config_.coordinator)].down) return;
+  Route(client_dc, coordinator_, [this, txn]() {
+    if (state(coordinator_).down) return;
+    // A commit already in flight loses its locks here, so it must not
+    // finish as committed: doom it (FinishAtCoordinator drops the mark).
+    // Nothing is kept for a transaction abandoned in its read phase.
+    if (committing_.count(txn) > 0) {
+      doomed_.insert(txn);
+    } else {
+      doomed_.erase(txn);
+    }
     lock_table_->ReleaseAll(txn);
-    doomed_.erase(txn);
     txn_start_ts_.erase(txn);
   });
 }
 
+// Reads outside a transaction are served by the coordinator without
+// locking.
 void TwoPcPaxosCluster::ClientRead(DcId client_dc, const Key& key,
                                    ReadCallback done) {
-  // Plain (non-transactional) read: served by the coordinator without
-  // locking.
-  ToCoordinator(client_dc, [this, client_dc, key, done = std::move(done)]() {
-    const DcState& cs = dc_state_[static_cast<size_t>(config_.coordinator)];
-    if (cs.down) return;
-    services_[static_cast<size_t>(config_.coordinator)]->Submit(
-        config_.service.read, [this, client_dc, key, gen = cs.gen, done]() {
-          const DcState& cs =
-              dc_state_[static_cast<size_t>(config_.coordinator)];
-          if (cs.down || gen != cs.gen) return;
-          if (cs.recovering) {
-            FromCoordinator(client_dc, [done]() {
-              done(Status::Unavailable("recovering"));
-            });
-            return;
-          }
-          auto r = stores_[static_cast<size_t>(config_.coordinator)].Read(key);
-          FromCoordinator(client_dc, [done, r = std::move(r)]() { done(r); });
-        });
-  });
-}
-
-void TwoPcPaxosCluster::ClientCommit(DcId client_dc,
-                                     std::vector<ReadEntry> reads,
-                                     std::vector<WriteEntry> writes,
-                                     CommitCallback done) {
-  TxnCommit(client_dc, BeginTxn(client_dc), std::move(reads),
-            std::move(writes), std::move(done));
+  ReadAt(client_dc, coordinator_, {key},
+         [done = std::move(done)](std::vector<Result<VersionedValue>> r) {
+           done(std::move(r[0]));
+         });
 }
 
 void TwoPcPaxosCluster::ClientReadOnly(DcId client_dc, std::vector<Key> keys,
                                        ReadOnlyCallback done) {
-  ToCoordinator(client_dc, [this, client_dc, keys = std::move(keys),
-                            done = std::move(done)]() {
-    const DcState& cs = dc_state_[static_cast<size_t>(config_.coordinator)];
-    if (cs.down) return;
-    services_[static_cast<size_t>(config_.coordinator)]->Submit(
-        config_.service.read * static_cast<Duration>(keys.size()),
-        [this, client_dc, keys, gen = cs.gen, done]() {
-          const DcState& cs =
-              dc_state_[static_cast<size_t>(config_.coordinator)];
-          if (cs.down || gen != cs.gen) return;
-          std::vector<Result<VersionedValue>> out;
-          if (cs.recovering) {
-            out.assign(keys.size(), Result<VersionedValue>(
-                                        Status::Unavailable("recovering")));
-          } else {
-            const MvStore& store =
-                stores_[static_cast<size_t>(config_.coordinator)];
-            out.reserve(keys.size());
-            for (const Key& k : keys) out.push_back(store.Read(k));
-          }
-          FromCoordinator(client_dc,
-                          [done, out = std::move(out)]() { done(out); });
-        });
-  });
-}
-
-// --- Crash recovery ------------------------------------------------------------
-
-bool TwoPcPaxosCluster::JournalApply(DcId dc, const TxnId& txn,
-                                     TxnBodyPtr body, Timestamp version_ts) {
-  if (!journaled_[static_cast<size_t>(dc)].insert(txn).second) return false;
-  rdict::LogRecord rec;
-  rec.type = rdict::RecordType::kFinished;
-  rec.committed = true;
-  rec.ts = version_ts;
-  rec.version_ts = version_ts;
-  rec.origin = txn.origin;
-  rec.body = std::move(body);
-  (void)wals_[static_cast<size_t>(dc)]->AppendRecord(rec);
-  return true;
-}
-
-void TwoPcPaxosCluster::SetDatacenterDown(DcId dc, bool down) {
-  DcState& st = dc_state_[static_cast<size_t>(dc)];
-  if (down) {
-    if (st.down) return;
-    // Crash with amnesia: volatile state goes — the store and service
-    // queue everywhere, plus the lock table, wound bookkeeping and
-    // replicator when the coordinator crashes. Paxos acceptor state is
-    // deliberately NOT reset: an acceptor's promises are durable by the
-    // protocol's own contract (they sit in the same WAL). Fresh
-    // replacements are installed immediately so closures queued against
-    // the old objects hit the generation guard instead of freed memory.
-    ++st.gen;
-    st.down = true;
-    st.recovering = false;
-    stores_[static_cast<size_t>(dc)].Clear();
-    services_[static_cast<size_t>(dc)] =
-        std::make_unique<sim::ServiceQueue>(scheduler_);
-    if (dc == config_.coordinator) {
-      lock_table_ = std::make_unique<LockTable>(LockPolicy::kWoundWait);
-      lock_table_->set_wound_handler(
-          [this](TxnId victim) { doomed_.insert(victim); });
-      doomed_.clear();
-      txn_start_ts_.clear();
-      replicator_ = MakeReplicator();
-    }
-    return;
-  }
-  if (!st.down) return;
-  st.down = false;
-  st.recovering = true;
-  const sim::SimTime started = scheduler_->Now();
-  const uint64_t gen = st.gen;
-  // Restore: data loaded outside the protocol first (same TxnIds as the
-  // original loads, since they replay in order from 1), then the journal
-  // of every transaction this datacenter had applied before the crash.
-  MvStore& store = stores_[static_cast<size_t>(dc)];
-  uint64_t load_seq = 1;
-  for (const auto& [key, value] : initial_loads_) {
-    store.ApplyWrite(key, value, kMinTimestamp, TxnId{-2, load_seq++});
-  }
-  const auto& journal = wals_[static_cast<size_t>(dc)]->contents().records;
-  for (const auto& rec : journal) {
-    if (rec.body != nullptr) store.ApplyTxn(*rec.body, rec.version_ts);
-  }
-  const uint64_t replayed = journal.size();
-  // Catch-up: pull the journal of a live peer and apply what the outage
-  // missed. The coordinator is the preferred source — it journals every
-  // decision at decision time, so its journal is complete; a replica's
-  // may trail by in-flight learner messages.
-  DcId peer = kInvalidDc;
-  if (dc != config_.coordinator &&
-      !dc_state_[static_cast<size_t>(config_.coordinator)].down) {
-    peer = config_.coordinator;
-  } else {
-    for (DcId p = 0; p < config_.num_datacenters; ++p) {
-      if (p != dc && !dc_state_[static_cast<size_t>(p)].down) {
-        peer = p;
-        break;
-      }
-    }
-  }
-  if (peer == kInvalidDc) {
-    FinishRecovery(dc, replayed, 0, started);
-    return;
-  }
-  WanSend(dc, peer, [this, dc, peer, gen, replayed, started]() {
-    if (dc_state_[static_cast<size_t>(peer)].down) return;
-    services_[static_cast<size_t>(peer)]->Submit(
-        config_.service.read, [this, dc, peer, gen, replayed, started]() {
-          if (dc_state_[static_cast<size_t>(peer)].down) return;
-          auto records = std::make_shared<std::vector<rdict::LogRecord>>(
-              wals_[static_cast<size_t>(peer)]->contents().records);
-          WanSend(peer, dc, [this, dc, gen, replayed, started, records]() {
-            const DcState& st = dc_state_[static_cast<size_t>(dc)];
-            if (st.down || gen != st.gen || !st.recovering) return;
-            uint64_t fresh = 0;
-            for (const auto& rec : *records) {
-              if (rec.body == nullptr) continue;
-              // JournalApply dedups against everything already applied —
-              // the pre-crash journal and learner deliveries since the
-              // restart.
-              if (!JournalApply(dc, rec.body->id, rec.body,
-                                rec.version_ts)) {
-                continue;
-              }
-              stores_[static_cast<size_t>(dc)].ApplyTxn(*rec.body,
-                                                        rec.version_ts);
-              ++fresh;
-            }
-            FinishRecovery(dc, replayed, fresh, started);
-          });
-        });
-  });
-  // Guard: if the peer crashes before answering, rejoin with the local
-  // journal alone rather than staying wedged in the recovering state.
-  scheduler_->After(config_.decision_timeout,
-                    [this, dc, gen, replayed, started]() {
-                      const DcState& st = dc_state_[static_cast<size_t>(dc)];
-                      if (st.down || gen != st.gen || !st.recovering) return;
-                      FinishRecovery(dc, replayed, 0, started);
-                    });
-}
-
-void TwoPcPaxosCluster::FinishRecovery(DcId dc, uint64_t records_replayed,
-                                       uint64_t catchup_records,
-                                       sim::SimTime started) {
-  DcState& st = dc_state_[static_cast<size_t>(dc)];
-  if (!st.recovering) return;  // Already finished.
-  st.recovering = false;
-  ++recovery_stats_.recoveries;
-  recovery_stats_.records_replayed += records_replayed;
-  recovery_stats_.catchup_records += catchup_records;
-  const sim::SimTime now = scheduler_->Now();
-  recovery_stats_.duration_us += static_cast<uint64_t>(now - started);
-  if (trace_ != nullptr) {
-    trace_->Span(obs::EventKind::kNodeRecover, dc, TxnId{}, started, now,
-                 kInvalidDc, "journal-replay+peer-catchup");
-  }
+  ReadAt(client_dc, coordinator_, std::move(keys), std::move(done));
 }
 
 }  // namespace helios::baselines

@@ -21,51 +21,24 @@
 #define HELIOS_BASELINES_TWO_PC_PAXOS_H_
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "api/protocol.h"
-#include "core/helios_config.h"
-#include "core/history.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "baselines/replica_cluster.h"
 #include "paxos/paxos.h"
-#include "sim/clock.h"
-#include "sim/network.h"
-#include "sim/scheduler.h"
-#include "sim/service_queue.h"
 #include "store/lock_table.h"
-#include "store/mv_store.h"
-#include "wal/wal_sink.h"
 
 namespace helios::baselines {
 
-struct TwoPcPaxosConfig {
-  int num_datacenters = 0;
-  DcId coordinator = 0;
-  Duration client_link_one_way = Micros(500);
-  Duration decision_timeout = Seconds(10);
-  core::ServiceModel service;
-  std::vector<Duration> clock_offsets;
-};
-
-class TwoPcPaxosCluster : public ProtocolCluster {
+class TwoPcPaxosCluster : public ReplicaCluster {
  public:
   TwoPcPaxosCluster(sim::Scheduler* scheduler, sim::Network* network,
-                    TwoPcPaxosConfig config);
+                    ReplicaConfig config, DcId coordinator);
 
-  void Start() override {}
-  void LoadInitialAll(const Key& key, const Value& value) override;
   void ClientRead(DcId client_dc, const Key& key, ReadCallback done) override;
-  void ClientCommit(DcId client_dc, std::vector<ReadEntry> reads,
-                    std::vector<WriteEntry> writes,
-                    CommitCallback done) override;
   void ClientReadOnly(DcId client_dc, std::vector<Key> keys,
                       ReadOnlyCallback done) override;
 
-  TxnId BeginTxn(DcId client_dc) override;
   void TxnRead(DcId client_dc, const TxnId& txn, const Key& key,
                ReadCallback done) override;
   void TxnCommit(DcId client_dc, const TxnId& txn,
@@ -74,58 +47,20 @@ class TwoPcPaxosCluster : public ProtocolCluster {
   void TxnAbandon(DcId client_dc, const TxnId& txn) override;
 
   std::string name() const override { return "2PC/Paxos"; }
-  int num_datacenters() const override { return config_.num_datacenters; }
 
-  /// Observability (src/obs): commit/abort decision events and a total-
-  /// latency histogram per outcome, measured client-side around the full
-  /// coordinator round (the coordinator is remote for most clients).
-  void SetObservability(obs::TraceRecorder* trace,
-                        obs::MetricsRegistry* metrics) override;
+  /// Adds `protocol.wounds` to the shared counters.
   void ExportMetrics(obs::MetricsRegistry* registry) const override;
 
-  /// Routes all coordinator/Paxos traffic through `mesh`; a single lost
-  /// Paxos reply otherwise wedges a slot forever.
-  void SetReliableMesh(sim::ReliableMesh* mesh) override { mesh_ = mesh; }
-
-  /// Node-process half of an outage. `down` crashes the datacenter with
-  /// amnesia: the store is cleared and the service queue replaced; at the
-  /// coordinator the lock table, wound bookkeeping and replicator go too.
-  /// Paxos acceptor state is NOT reset — an acceptor's promises are
-  /// durable by the protocol's own contract, exactly like this WAL.
-  /// `!down` replays the initial loads plus the local journal of applied
-  /// transactions, then pulls the decisions missed during the outage from
-  /// the first live peer.
-  void SetDatacenterDown(DcId dc, bool down) override;
-
-  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-  bool datacenter_down(DcId dc) const override {
-    return dc_state_[static_cast<size_t>(dc)].down;
-  }
-
-  // Checker observation points (src/check).
-  const wal::MemoryWal* wal_journal(DcId dc) const override {
-    return wals_[static_cast<size_t>(dc)].get();
-  }
-  void SnapshotStore(
-      DcId dc, const std::function<void(const Key&, const VersionedValue&)>&
-                   fn) const override {
-    store(dc).ForEachLatest(fn);
-  }
-  RecoveryStats recovery_snapshot() const override { return recovery_stats_; }
-
-  const MvStore& store(DcId dc) const { return stores_[dc]; }
-  core::HistoryRecorder& history() { return history_; }
-  uint64_t commits() const { return commits_; }
-  uint64_t aborts() const { return aborts_; }
-  uint64_t wounds() const { return lock_table_->wounds(); }
-  DcId coordinator() const { return config_.coordinator; }
-
  private:
-  /// Client-to-coordinator routing (client link when co-located).
-  void ToCoordinator(DcId home, std::function<void()> fn);
-  void FromCoordinator(DcId home, std::function<void()> fn);
-  /// One WAN hop, through the reliable mesh when installed.
-  void WanSend(DcId from, DcId to, std::function<void()> fn);
+  /// At the coordinator a crash also loses the lock table, the wound
+  /// bookkeeping and the replicator. Paxos acceptor state is NOT reset
+  /// anywhere: an acceptor's promises are durable by the protocol's own
+  /// contract, exactly like the journal.
+  void OnCrash(DcId dc) override;
+  /// The coordinator first: it journals every decision at decision time,
+  /// so its journal is complete; a replica's may trail by in-flight
+  /// learner messages.
+  std::vector<DcId> CatchupSources(DcId dc) const override;
 
   /// Async sequential write-lock acquisition, then validation, then Paxos.
   void CoordinatorCommit(DcId home, const TxnId& txn, TxnBodyPtr body,
@@ -137,63 +72,23 @@ class TwoPcPaxosCluster : public ProtocolCluster {
   void FinishAtCoordinator(DcId home, const TxnId& txn, TxnBodyPtr body,
                            bool commit, CommitCallback done);
 
-  Timestamp StartTs(DcId home, const TxnId& txn);
   bool Doomed(const TxnId& txn) const { return doomed_.count(txn) > 0; }
 
+  /// Fresh coordinator-side lock table whose wound handler dooms victims.
+  std::unique_ptr<LockTable> MakeLockTable();
   /// Builds the coordinator-side Paxos replicator. Every send closure
   /// snapshots the coordinator's generation so replies raised against a
   /// pre-crash replicator are dropped instead of reaching its successor.
   std::unique_ptr<paxos::Replicator> MakeReplicator();
 
-  /// Persists one applied transaction into `dc`'s WAL journal. Returns
-  /// false (journaling nothing) when `txn` is already journaled there, so
-  /// learner delivery and catch-up of the same decision stay idempotent.
-  bool JournalApply(DcId dc, const TxnId& txn, TxnBodyPtr body,
-                    Timestamp version_ts);
-  /// Ends `dc`'s catch-up phase and accounts the recovery.
-  void FinishRecovery(DcId dc, uint64_t records_replayed,
-                      uint64_t catchup_records, sim::SimTime started);
-
-  /// Records the trace events and histogram sample for a decision
-  /// delivered at the client at `now` for a request issued at `t0`.
-  void RecordDecision(DcId dc, const TxnId& txn, bool commit,
-                      sim::SimTime t0, const std::string& reason);
-
-  /// Crash/recovery state per datacenter. `gen` increments on every
-  /// amnesia restart so closures queued against the pre-crash volatile
-  /// state (store, service queue, lock table, replicator) become no-ops.
-  struct DcState {
-    bool down = false;
-    bool recovering = false;
-    uint64_t gen = 0;
-  };
-
-  sim::Scheduler* scheduler_;
-  sim::Network* network_;
-  sim::ReliableMesh* mesh_ = nullptr;
-  TwoPcPaxosConfig config_;
-  std::vector<std::unique_ptr<sim::Clock>> clocks_;
-  std::vector<MvStore> stores_;
-  std::vector<std::unique_ptr<sim::ServiceQueue>> services_;
-  /// Per-datacenter durable journal of applied transactions, its TxnId
-  /// mirror (for exactly-once application), and crash state.
-  std::vector<std::unique_ptr<wal::MemoryWal>> wals_;
-  std::vector<std::unordered_set<TxnId, TxnIdHash>> journaled_;
-  std::vector<DcState> dc_state_;
-  std::vector<std::pair<Key, Value>> initial_loads_;
-  RecoveryStats recovery_stats_;
-  std::unique_ptr<LockTable> lock_table_;        ///< At the coordinator.
-  std::vector<paxos::Acceptor> acceptors_;       ///< One per datacenter.
+  const DcId coordinator_;
+  std::unique_ptr<LockTable> lock_table_;          ///< At the coordinator.
+  std::vector<paxos::Acceptor> acceptors_;         ///< One per datacenter.
   std::unique_ptr<paxos::Replicator> replicator_;  ///< At the coordinator.
-  std::unordered_map<TxnId, Timestamp, TxnIdHash> txn_start_ts_;
-  std::unordered_set<TxnId, TxnIdHash> doomed_;  ///< Wounded transactions.
-  core::HistoryRecorder history_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::Histogram* h_commit_total_us_ = nullptr;
-  obs::Histogram* h_abort_total_us_ = nullptr;
-  uint64_t commits_ = 0;
-  uint64_t aborts_ = 0;
-  uint64_t next_load_seq_ = 1;
+  /// Wounded transactions, and abandoned ones whose commit is in flight.
+  std::unordered_set<TxnId, TxnIdHash> doomed_;
+  /// Commits the coordinator has started and not yet finished.
+  std::unordered_set<TxnId, TxnIdHash> committing_;
 };
 
 }  // namespace helios::baselines

@@ -125,7 +125,7 @@ harness::ExperimentSpec ScenarioGenerator::Scenario(uint64_t index) const {
     const sim::SimTime measure_until = spec.warmup + spec.measure;
     // Faults must go quiet at least this long before the window closes so
     // the liveness oracle ("some transactions committed") stays sound.
-    const sim::SimTime quiet_from = measure_until - Millis(2000);
+    const sim::SimTime quiet_from = measure_until - kQuietTail;
 
     if (with_messages) {
       const uint64_t count = 1 + rng.Uniform(2);

@@ -23,6 +23,11 @@
 
 namespace helios::check {
 
+/// Every generated crash, partition and gray event ends at least this long
+/// before the measurement window closes; the metrics and liveness oracles
+/// are calibrated for that quiet tail.
+constexpr Duration kQuietTail = Millis(2000);
+
 struct GeneratorOptions {
   uint64_t master_seed = 1;
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "check/runner.h"
+#include "check/scenario_gen.h"
 
 namespace helios::check {
 
@@ -13,6 +14,24 @@ using harness::ExperimentSpec;
 
 /// One simplification attempt: an edit applied to the current best spec.
 using Edit = std::function<bool(ExperimentSpec*)>;  // false = no-op here
+
+/// True if every node, partition and gray event of `s` is over by the
+/// quiet point the generator keeps (warmup + measure - kQuietTail). A
+/// window edit that breaks this would judge the repro by oracles
+/// calibrated for a quiet tail it no longer has.
+bool FaultsEndBeforeQuietTail(const ExperimentSpec& s) {
+  const sim::SimTime quiet_from = s.warmup + s.measure - kQuietTail;
+  for (const sim::NodeEvent& e : s.fault_plan.node_events) {
+    if (e.at > quiet_from) return false;
+  }
+  for (const sim::PartitionEvent& e : s.fault_plan.partition_events) {
+    if (e.at > quiet_from) return false;
+  }
+  for (const sim::GrayFault& g : s.fault_plan.gray_faults) {
+    if (g.active_until > quiet_from) return false;
+  }
+  return true;
+}
 
 /// The candidate edits for one round, most aggressive first (clearing the
 /// whole fault plan in one step beats dropping events one by one when the
@@ -84,7 +103,7 @@ std::vector<Edit> EditsFor(const ExperimentSpec& spec) {
   edits.push_back([](ExperimentSpec* s) {
     if (s->measure <= Millis(1500)) return false;
     s->measure = std::max<Duration>(Millis(1500), s->measure / 2);
-    return true;
+    return FaultsEndBeforeQuietTail(*s);
   });
   edits.push_back([](ExperimentSpec* s) {
     if (s->drain <= Millis(1000)) return false;
@@ -94,7 +113,7 @@ std::vector<Edit> EditsFor(const ExperimentSpec& spec) {
   edits.push_back([](ExperimentSpec* s) {
     if (s->warmup <= Millis(200)) return false;
     s->warmup = Millis(200);
-    return true;
+    return FaultsEndBeforeQuietTail(*s);
   });
   edits.push_back([](ExperimentSpec* s) {
     if (s->zipf_theta == 0.0) return false;

@@ -305,41 +305,6 @@ Result<double> HeliosCluster::ReplanOffsetsFromEstimates(DcId reference) {
   return lp::AverageLatency(mao.value());
 }
 
-Result<double> HeliosCluster::ReplanOffsetsExcluding(DcId suspect,
-                                                     DcId reference) {
-  if (suspect < 0 || suspect >= config_.num_datacenters) {
-    return Status::InvalidArgument("suspect out of range");
-  }
-  const RttEstimator* estimator = node(reference).rtt_estimator();
-  if (estimator == nullptr) {
-    return Status::FailedPrecondition("estimate_rtts is not enabled");
-  }
-  if (!estimator->MatrixComplete()) {
-    return Status::Unavailable("RTT matrix not yet complete");
-  }
-  const lp::RttMatrix matrix = estimator->MatrixMs();
-  auto mao = lp::SolveMaoExcluding(matrix, suspect);
-  if (!mao.ok()) return mao.status();
-  const auto offsets_ms = lp::CommitOffsetsFromLatencies(matrix, mao.value());
-  for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    std::vector<Duration> row(static_cast<size_t>(config_.num_datacenters), 0);
-    for (DcId x = 0; x < config_.num_datacenters; ++x) {
-      if (x != dc) {
-        row[static_cast<size_t>(x)] =
-            static_cast<Duration>(offsets_ms[dc][x] * 1000.0);
-      }
-    }
-    node(dc).SetCommitOffsetRow(std::move(row));
-  }
-  // Average over the healthy quorum: the suspect's (feasibility-floor)
-  // latency is not a promise anyone is waiting on.
-  double sum = 0.0;
-  for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    if (dc != suspect) sum += mao.value()[static_cast<size_t>(dc)];
-  }
-  return sum / static_cast<double>(config_.num_datacenters - 1);
-}
-
 std::unique_ptr<HeliosCluster> MakeMessageFuturesCluster(
     sim::Scheduler* scheduler, sim::Network* network, HeliosConfig config) {
   config.commit_offsets.clear();

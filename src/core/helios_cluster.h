@@ -78,8 +78,6 @@ class HeliosCluster : public ProtocolCluster {
     node(dc).InjectFsyncStall(per_record, window);
   }
 
-  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-
   /// The per-datacenter in-memory WAL (the simulated durable disk).
   const wal::MemoryWal& wal(DcId dc) const {
     return *wals_[static_cast<size_t>(dc)];
@@ -116,13 +114,6 @@ class HeliosCluster : public ProtocolCluster {
   /// (raise-offsets first, then lower). Returns the estimated matrix's
   /// MAO average latency (ms).
   Result<double> ReplanOffsetsFromEstimates(DcId reference = 0);
-
-  /// Variant for a suspected gray-failed datacenter: replans with the
-  /// suspect's RTT constraints dropped (lp::SolveMaoExcluding), so the
-  /// healthy quorum's offsets stop pricing in the straggler while every
-  /// pair — suspect included — still satisfies Rule 1. Returns the MAO
-  /// average latency (ms) over the healthy datacenters.
-  Result<double> ReplanOffsetsExcluding(DcId suspect, DcId reference = 0);
 
   /// Installs a function that computes an envelope's on-wire size (see
   /// wire::EncodedEnvelopeSize). When set, peer messages go through

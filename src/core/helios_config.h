@@ -30,18 +30,13 @@ struct ServiceModel {
 /// envelope arrivals and evaluation piggybacks on the gossip tick, so
 /// enabling it schedules no new events, but suspicion reactions do change
 /// protocol behavior under crashes — experiments opt in explicitly.
+/// Enabled, a suspicion quorum licenses commits that skip the suspect
+/// (degraded commit; requires f >= 1 and the Helios rule) and hedged
+/// catch-up pulls every 100 ms.
 struct HealthConfig {
   bool enabled = false;
   /// phi-accrual tuning (threshold, window, floors).
   health::PhiOptions phi;
-  /// When a suspicion quorum forms, commit without waiting on the suspect
-  /// (safe: the quorum's standing refusals doom every conflicting
-  /// transaction the suspect could still commit). Requires f >= 1 and the
-  /// Helios rule; silently inert otherwise.
-  bool degraded_commit = true;
-  /// Minimum spacing of hedged catch-up pulls to the best-informed healthy
-  /// peer while any datacenter is suspected.
-  Duration hedge_interval = Millis(100);
 };
 
 struct HeliosConfig {

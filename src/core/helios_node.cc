@@ -15,6 +15,10 @@ namespace {
 /// to a real datacenter id.
 constexpr DcId kLoaderOrigin = -2;
 
+/// Minimum spacing of hedged catch-up pulls to the best-informed healthy
+/// peer while any datacenter is suspected.
+constexpr Duration kHedgeInterval = Millis(100);
+
 /// Mutation-testing hook (tests/check_mutation_test.cc): with
 /// HELIOS_CHECK_MUTATION=skip_commit_wait in the environment, the Section 3
 /// commit wait (Rule 2 / Rule 3 condition 1) is skipped entirely, so
@@ -669,7 +673,7 @@ bool HeliosNode::CommitWaitSatisfied(const PendingTxn& t,
 }
 
 bool HeliosNode::DegradedSkipAllowed(DcId s, Timestamp deadline) const {
-  if (!ReactionEnabled() || !config_.health.degraded_commit) return false;
+  if (!ReactionEnabled()) return false;
   if (suspected_.count(s) == 0) return false;
   // Safety argument: a skip is licensed only by >= n-f datacenters (this
   // one included, the suspect excluded) that (a) currently suspect s and
@@ -1160,12 +1164,12 @@ void HeliosNode::OnSuspicionOnset(DcId peer) {
       ++counters_.suspicion_refusals;
     }
   }
-  last_hedge_ = 0;  // Hedge immediately, not a hedge_interval from now.
+  last_hedge_ = 0;  // Hedge immediately, not kHedgeInterval from now.
 }
 
 void HeliosNode::MaybeSendHedgedPulls() {
   const sim::SimTime now = scheduler_->Now();
-  if (last_hedge_ > 0 && now < last_hedge_ + config_.health.hedge_interval) {
+  if (last_hedge_ > 0 && now < last_hedge_ + kHedgeInterval) {
     return;
   }
   bool sent = false;

@@ -170,28 +170,22 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
           ProtocolName(config.protocol));
       history = &static_cast<core::HeliosCluster*>(cluster.get())->history();
     }
-  } else if (config.protocol == Protocol::kReplicatedCommit) {
-    baselines::ReplicatedCommitConfig rc;
+  } else {
+    baselines::ReplicaConfig rc;
     rc.num_datacenters = n;
     rc.client_link_one_way = config.client_link_one_way;
     rc.service = config.service;
     rc.clock_offsets = config.clock_offsets;
-    cluster = std::make_unique<baselines::ReplicatedCommitCluster>(
-        &scheduler, &network, std::move(rc));
-    history =
-        &static_cast<baselines::ReplicatedCommitCluster*>(cluster.get())
-             ->history();
-  } else {
-    baselines::TwoPcPaxosConfig tp;
-    tp.num_datacenters = n;
-    tp.coordinator = config.two_pc_coordinator;
-    tp.client_link_one_way = config.client_link_one_way;
-    tp.service = config.service;
-    tp.clock_offsets = config.clock_offsets;
-    cluster = std::make_unique<baselines::TwoPcPaxosCluster>(
-        &scheduler, &network, std::move(tp));
-    history =
-        &static_cast<baselines::TwoPcPaxosCluster*>(cluster.get())->history();
+    std::unique_ptr<baselines::ReplicaCluster> baseline;
+    if (config.protocol == Protocol::kReplicatedCommit) {
+      baseline = std::make_unique<baselines::ReplicatedCommitCluster>(
+          &scheduler, &network, std::move(rc));
+    } else {
+      baseline = std::make_unique<baselines::TwoPcPaxosCluster>(
+          &scheduler, &network, std::move(rc), config.two_pc_coordinator);
+    }
+    history = &baseline->history();
+    cluster = std::move(baseline);
   }
 
   if (config.preload) {

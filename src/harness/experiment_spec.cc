@@ -162,12 +162,6 @@ Status ExperimentSpec::Validate() const {
   if (client_retries < 0) {
     return Status::InvalidArgument("client_retries must be >= 0");
   }
-  if (health_phi_threshold <= 0.0) {
-    return Status::InvalidArgument("health_phi_threshold must be > 0");
-  }
-  if (health_hedge_interval <= 0) {
-    return Status::InvalidArgument("health_hedge_interval must be > 0");
-  }
   if (!fault_plan.empty()) {
     if (Status st = fault_plan.Validate(n); !st.ok()) {
       return Status::InvalidArgument("fault_plan: " + st.ToString());
@@ -244,9 +238,6 @@ Result<ExperimentConfig> ExperimentSpec::ToConfig() const {
   cfg.trace.enabled = trace_enabled;
   if (trace_ring_capacity > 0) cfg.trace.ring_capacity = trace_ring_capacity;
   cfg.health.enabled = health_enabled;
-  cfg.health.phi.threshold = health_phi_threshold;
-  cfg.health.degraded_commit = health_degraded_commit;
-  cfg.health.hedge_interval = health_hedge_interval;
   return cfg;
 }
 
@@ -279,18 +270,8 @@ std::string ExperimentSpec::ToJson() const {
   // byte-identical.
   if (!fault_plan.empty()) w.Raw("fault_plan", fault_plan.ToJson());
   w.Field("grace_time_us", static_cast<int64_t>(grace_time));
-  // Omitted at their defaults so pre-health specs stay byte-identical.
-  if (!health_degraded_commit) {
-    w.Field("health_degraded_commit", health_degraded_commit);
-  }
+  // Omitted at its default so pre-health specs stay byte-identical.
   if (health_enabled) w.Field("health_enabled", health_enabled);
-  if (health_hedge_interval != Millis(100)) {
-    w.Field("health_hedge_interval_us",
-            static_cast<int64_t>(health_hedge_interval));
-  }
-  if (health_phi_threshold != 8.0) {
-    w.Field("health_phi_threshold", health_phi_threshold);
-  }
   // Omitted at its default so pre-partitioning specs stay byte-identical.
   if (key_partitions != 1) {
     w.Field("key_partitions", static_cast<int64_t>(key_partitions));
@@ -383,14 +364,8 @@ Result<ExperimentSpec> ExperimentSpec::FromJson(const std::string& json) {
       spec.fault_plan = std::move(plan).value();
     } else if (key == "grace_time_us") {
       st = json::ReadInt64(key, v, &spec.grace_time);
-    } else if (key == "health_degraded_commit") {
-      st = json::ReadBool(key, v, &spec.health_degraded_commit);
     } else if (key == "health_enabled") {
       st = json::ReadBool(key, v, &spec.health_enabled);
-    } else if (key == "health_hedge_interval_us") {
-      st = json::ReadInt64(key, v, &spec.health_hedge_interval);
-    } else if (key == "health_phi_threshold") {
-      st = json::ReadDouble(key, v, &spec.health_phi_threshold);
     } else if (key == "key_partitions") {
       st = json::ReadInt(key, v, &spec.key_partitions);
     } else if (key == "label") {
@@ -520,11 +495,7 @@ bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
          a.client_retries == b.client_retries &&
          a.trace_enabled == b.trace_enabled &&
          a.trace_ring_capacity == b.trace_ring_capacity &&
-         a.health_enabled == b.health_enabled &&
-         a.health_phi_threshold == b.health_phi_threshold &&
-         a.health_degraded_commit == b.health_degraded_commit &&
-         a.health_hedge_interval == b.health_hedge_interval &&
-         estimates_equal();
+         a.health_enabled == b.health_enabled && estimates_equal();
 }
 
 }  // namespace helios::harness

@@ -118,12 +118,9 @@ struct ExperimentSpec {
   size_t trace_ring_capacity = 0;
 
   /// Gray-failure detection and reaction (docs/FAULTS.md "Gray failures
-  /// and suspicion"). Off by default — the remaining knobs only matter
-  /// when enabled, and only the Helios-family protocols honor them.
+  /// and suspicion"). Off by default; only the Helios-family protocols
+  /// honor it.
   bool health_enabled = false;
-  double health_phi_threshold = 8.0;
-  bool health_degraded_commit = true;
-  Duration health_hedge_interval = Millis(100);
 
   // --- Fluent builder -----------------------------------------------------
   ExperimentSpec& WithLabel(std::string v) { label = std::move(v); return *this; }
@@ -194,18 +191,6 @@ struct ExperimentSpec {
   }
   ExperimentSpec& WithHealth(bool enabled = true) {
     health_enabled = enabled;
-    return *this;
-  }
-  ExperimentSpec& WithHealthPhiThreshold(double v) {
-    health_phi_threshold = v;
-    return *this;
-  }
-  ExperimentSpec& WithDegradedCommit(bool v) {
-    health_degraded_commit = v;
-    return *this;
-  }
-  ExperimentSpec& WithHedgeInterval(Duration v) {
-    health_hedge_interval = v;
     return *this;
   }
 

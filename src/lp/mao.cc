@@ -41,47 +41,6 @@ Result<std::vector<double>> SolveMao(const RttMatrix& rtt) {
   return std::move(sol.value().x);
 }
 
-Result<std::vector<double>> SolveMaoExcluding(const RttMatrix& rtt,
-                                              int excluded) {
-  const int n = rtt.size();
-  if (excluded < 0 || excluded >= n) {
-    return Status::InvalidArgument("excluded datacenter out of range");
-  }
-  if (n < 2) {
-    return Status::InvalidArgument("need at least two datacenters");
-  }
-  // Solve over the healthy submatrix.
-  RttMatrix sub(n - 1);
-  std::vector<int> to_full;  // sub index -> full index.
-  to_full.reserve(static_cast<size_t>(n - 1));
-  for (int a = 0; a < n; ++a) {
-    if (a != excluded) to_full.push_back(a);
-  }
-  for (int a = 0; a < n - 1; ++a) {
-    for (int b = a + 1; b < n - 1; ++b) {
-      sub.Set(a, b, rtt.Get(to_full[static_cast<size_t>(a)],
-                            to_full[static_cast<size_t>(b)]));
-    }
-  }
-  auto mao = SolveMao(sub);
-  if (!mao.ok()) return mao.status();
-  // Expand, then give the suspect the least latency that keeps every
-  // excluded-vs-healthy pair feasible.
-  std::vector<double> full(static_cast<size_t>(n), 0.0);
-  for (int a = 0; a < n - 1; ++a) {
-    full[static_cast<size_t>(to_full[static_cast<size_t>(a)])] =
-        mao.value()[static_cast<size_t>(a)];
-  }
-  double l_excluded = 0.0;
-  for (int b = 0; b < n; ++b) {
-    if (b == excluded) continue;
-    l_excluded = std::max(
-        l_excluded, rtt.Get(excluded, b) - full[static_cast<size_t>(b)]);
-  }
-  full[static_cast<size_t>(excluded)] = l_excluded;
-  return full;
-}
-
 double AverageLatency(const std::vector<double>& latencies) {
   if (latencies.empty()) return 0.0;
   double sum = 0.0;

@@ -50,16 +50,6 @@ class RttMatrix {
 /// commit latencies in milliseconds.
 Result<std::vector<double>> SolveMao(const RttMatrix& rtt);
 
-/// Problem 1 restricted to the datacenters other than `excluded` — the
-/// gray-failure replanner: a suspected straggler stops constraining the
-/// healthy quorum's latencies. The excluded datacenter still gets an entry
-/// in the returned vector: the smallest latency keeping the FULL matrix
-/// feasible (L_excluded = max_b RTT(excluded, b) - L_b), so offsets derived
-/// from the result still satisfy Lemma 1 / Rule 1 for every pair, including
-/// pairs involving the suspect. Requires n >= 2 and a valid index.
-Result<std::vector<double>> SolveMaoExcluding(const RttMatrix& rtt,
-                                              int excluded);
-
 /// Average of a latency vector.
 double AverageLatency(const std::vector<double>& latencies);
 

@@ -376,7 +376,7 @@ void ShardedCluster::set_envelope_sizer(
 RecoveryStats ShardedCluster::recovery_snapshot() const {
   RecoveryStats total;
   for (const auto& sc : shards_) {
-    const RecoveryStats& s = sc->recovery_stats();
+    const RecoveryStats s = sc->recovery_snapshot();
     total.recoveries = std::max(total.recoveries, s.recoveries);
     total.records_replayed += s.records_replayed;
     total.catchup_records += s.catchup_records;

@@ -170,6 +170,10 @@ void LockTable::ReleaseAll(TxnId txn) {
     keys.assign(held->second.begin(), held->second.end());
     held_by_txn_.erase(held);
   }
+  // Drop every hold before granting any waiter: a grant callback may lead
+  // an older transaction to wound `txn` on a key not yet visited, and with
+  // `txn`'s index already gone that wound could not release the hold, so
+  // Acquire's wound-and-retry would recurse without end.
   for (const Key& key : keys) {
     auto it = locks_.find(key);
     if (it == locks_.end()) continue;
@@ -177,8 +181,10 @@ void LockTable::ReleaseAll(TxnId txn) {
     holders.erase(std::remove_if(holders.begin(), holders.end(),
                                  [&](const Holder& h) { return h.txn == txn; }),
                   holders.end());
+  }
+  for (const Key& key : keys) {
     PumpWaiters(key);
-    it = locks_.find(key);
+    auto it = locks_.find(key);
     if (it != locks_.end() && it->second.holders.empty() &&
         it->second.waiters.empty()) {
       locks_.erase(it);

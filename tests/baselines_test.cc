@@ -37,15 +37,12 @@ std::unique_ptr<Rig> MakeRig(int n, Duration rtt, bool two_pc,
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) rig->network->SetRtt(a, b, rtt, 0);
   }
+  ReplicaConfig cfg;
+  cfg.num_datacenters = n;
   if (two_pc) {
-    TwoPcPaxosConfig cfg;
-    cfg.num_datacenters = n;
-    cfg.coordinator = coordinator;
     rig->cluster = std::make_unique<TwoPcPaxosCluster>(
-        &rig->scheduler, rig->network.get(), cfg);
+        &rig->scheduler, rig->network.get(), cfg, coordinator);
   } else {
-    ReplicatedCommitConfig cfg;
-    cfg.num_datacenters = n;
     rig->cluster = std::make_unique<ReplicatedCommitCluster>(
         &rig->scheduler, rig->network.get(), cfg);
   }

@@ -434,7 +434,12 @@ TEST(Shrinker, MinimizesToTheLoadBearingFaultEvent) {
   EXPECT_TRUE(out.spec.fault_plan.link_faults.empty());
   EXPECT_TRUE(out.spec.fault_plan.partition_events.empty());
   EXPECT_EQ(out.spec.clients, 2);
-  EXPECT_EQ(out.spec.measure, Millis(1500));
+  // The window shrinks only as far as the generator's quiet tail allows:
+  // the crash at 1 s must stay at or before warmup + measure - 2 s.
+  EXPECT_EQ(out.spec.measure, Seconds(4));
+  for (const sim::NodeEvent& e : out.spec.fault_plan.node_events) {
+    EXPECT_LE(e.at, out.spec.warmup + out.spec.measure - kQuietTail);
+  }
   EXPECT_EQ(out.spec.zipf_theta, 0.0);
   EXPECT_EQ(out.spec.read_only_fraction, 0.0);
   EXPECT_TRUE(out.spec.clock_offsets.empty());

@@ -99,14 +99,13 @@ ProtoRig MakeHeliosRig(int f) {
   rig.read_store = [raw](DcId dc, const Key& key) {
     return raw->node(dc).store().Read(key);
   };
-  rig.stats = [raw] { return raw->recovery_stats(); };
+  rig.stats = [raw] { return raw->recovery_snapshot(); };
   rig.cluster = std::move(cluster);
   return rig;
 }
 
-ProtoRig MakeBaselineRig(bool two_pc) {
+ProtoRig MakeBaselineRig(bool two_pc, int n = 3) {
   ProtoRig rig;
-  const int n = 3;
   rig.scheduler = std::make_unique<sim::Scheduler>();
   rig.network = std::make_unique<sim::Network>(rig.scheduler.get(), n, 7);
   for (int a = 0; a < n; ++a) {
@@ -114,46 +113,30 @@ ProtoRig MakeBaselineRig(bool two_pc) {
       rig.network->SetRtt(a, b, Millis(80), 0);
     }
   }
+  baselines::ReplicaConfig cfg;
+  cfg.num_datacenters = n;
+  std::unique_ptr<baselines::ReplicaCluster> cluster;
   if (two_pc) {
-    baselines::TwoPcPaxosConfig cfg;
-    cfg.num_datacenters = n;
-    cfg.coordinator = 0;
-    auto cluster = std::make_unique<baselines::TwoPcPaxosCluster>(
-        rig.scheduler.get(), rig.network.get(), cfg);
-    auto* raw = cluster.get();
-    rig.crash = [&rig, raw](DcId dc) {
-      rig.network->CrashNode(dc);
-      raw->SetDatacenterDown(dc, true);
-    };
-    rig.recover = [&rig, raw](DcId dc) {
-      rig.network->RecoverNode(dc);
-      raw->SetDatacenterDown(dc, false);
-    };
-    rig.read_store = [raw](DcId dc, const Key& key) {
-      return raw->store(dc).Read(key);
-    };
-    rig.stats = [raw] { return raw->recovery_stats(); };
-    rig.cluster = std::move(cluster);
+    cluster = std::make_unique<baselines::TwoPcPaxosCluster>(
+        rig.scheduler.get(), rig.network.get(), cfg, /*coordinator=*/0);
   } else {
-    baselines::ReplicatedCommitConfig cfg;
-    cfg.num_datacenters = n;
-    auto cluster = std::make_unique<baselines::ReplicatedCommitCluster>(
+    cluster = std::make_unique<baselines::ReplicatedCommitCluster>(
         rig.scheduler.get(), rig.network.get(), cfg);
-    auto* raw = cluster.get();
-    rig.crash = [&rig, raw](DcId dc) {
-      rig.network->CrashNode(dc);
-      raw->SetDatacenterDown(dc, true);
-    };
-    rig.recover = [&rig, raw](DcId dc) {
-      rig.network->RecoverNode(dc);
-      raw->SetDatacenterDown(dc, false);
-    };
-    rig.read_store = [raw](DcId dc, const Key& key) {
-      return raw->store(dc).Read(key);
-    };
-    rig.stats = [raw] { return raw->recovery_stats(); };
-    rig.cluster = std::move(cluster);
   }
+  auto* raw = cluster.get();
+  rig.crash = [&rig, raw](DcId dc) {
+    rig.network->CrashNode(dc);
+    raw->SetDatacenterDown(dc, true);
+  };
+  rig.recover = [&rig, raw](DcId dc) {
+    rig.network->RecoverNode(dc);
+    raw->SetDatacenterDown(dc, false);
+  };
+  rig.read_store = [raw](DcId dc, const Key& key) {
+    return raw->store(dc).Read(key);
+  };
+  rig.stats = [raw] { return raw->recovery_snapshot(); };
+  rig.cluster = std::move(cluster);
   return rig;
 }
 
@@ -372,6 +355,50 @@ TEST(CatchupTest, BaselinesPullMissedDecisions) {
       auto v2 = rig.read_store(2, key);
       ASSERT_TRUE(v2.ok()) << key;
       EXPECT_EQ(v2.value().writer, v0.value().writer) << key;
+    }
+  }
+}
+
+TEST(CatchupTest, BaselineSkipsPeerStillCatchingUp) {
+  // Replicated Commit over five datacenters: 0 and 2 are down while 1
+  // commits a write every 50 ms. 0 recovers first and pulls from 1; 2
+  // recovers 1 ms later, while 0 is still catching up. 0 comes first in id
+  // order but lacks every decision of the outage, so 2 must pull from a
+  // caught-up peer instead.
+  ProtoRig rig = MakeBaselineRig(/*two_pc=*/false, /*n=*/5);
+  const int keys = 40;
+  for (int k = 0; k < keys; ++k) {
+    rig.cluster->LoadInitialAll(ScriptKey(k), "init");
+  }
+  rig.cluster->Start();
+
+  auto commits = std::make_shared<int>(0);
+  for (int i = 0; i < keys; ++i) {
+    rig.scheduler->At(Millis(1000 + i * 50), [&rig, commits, i] {
+      rig.cluster->ClientCommit(1, {}, {{ScriptKey(i), "u" + std::to_string(i)}},
+                                [commits](const CommitOutcome& o) {
+                                  if (o.committed) ++*commits;
+                                });
+    });
+  }
+  rig.scheduler->At(Seconds(1), [&rig] {
+    rig.crash(0);
+    rig.crash(2);
+  });
+  rig.scheduler->At(Seconds(3), [&rig] { rig.recover(0); });
+  rig.scheduler->At(Millis(3001), [&rig] { rig.recover(2); });
+  rig.scheduler->RunUntil(Seconds(8));
+
+  EXPECT_EQ(*commits, keys);
+  EXPECT_EQ(rig.stats().recoveries, 2u);
+  for (int k = 0; k < keys; ++k) {
+    const Key key = ScriptKey(k);
+    auto v1 = rig.read_store(1, key);
+    ASSERT_TRUE(v1.ok()) << key;
+    for (const DcId dc : {0, 2}) {
+      auto v = rig.read_store(dc, key);
+      ASSERT_TRUE(v.ok()) << key << " dc " << dc;
+      EXPECT_EQ(v.value().writer, v1.value().writer) << key << " dc " << dc;
     }
   }
 }

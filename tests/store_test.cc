@@ -249,5 +249,51 @@ TEST(LockTableWoundWaitTest, NoDeadlockUnderCrossingRequests) {
   EXPECT_TRUE(t.Holds("b", Id(0, 1), LockMode::kExclusive));
 }
 
+TEST(LockTableWoundWaitTest, GrantCallbackCannotWoundTheTransactionBeingReleased) {
+  // T2 holds "a" and "b", with a younger waiter queued on each. Releasing
+  // T2 grants one waiter, whose callback has the oldest transaction T1
+  // take the other key. T2 must already be gone from that key: a wound
+  // aimed at a transaction mid-release could not free its hold, and the
+  // wound-and-retry would recurse without end.
+  LockTable t(LockPolicy::kWoundWait);
+  std::vector<TxnId> wounded;
+  t.set_wound_handler([&](TxnId v) { wounded.push_back(v); });
+  const TxnId t1 = Id(0, 1);
+  const TxnId t2 = Id(0, 2);
+  t.Acquire("a", LockMode::kExclusive, t2, 20, [](Status) {});
+  t.Acquire("b", LockMode::kExclusive, t2, 20, [](Status) {});
+  std::vector<Key> granted;  // Keys whose waiter got the lock, in order.
+  Status t1_status = Status::Internal("unset");
+  const auto waiter = [&](const Key& key, const Key& other) {
+    return [&, key, other](Status s) {
+      if (!s.ok()) return;
+      granted.push_back(key);
+      if (granted.size() > 1) return;
+      t.Acquire(other, LockMode::kExclusive, t1, 10,
+                [&](Status s1) { t1_status = s1; });
+    };
+  };
+  t.Acquire("a", LockMode::kExclusive, Id(0, 3), 30, waiter("a", "b"));
+  t.Acquire("b", LockMode::kExclusive, Id(0, 4), 40, waiter("b", "a"));
+
+  t.ReleaseAll(t2);
+
+  EXPECT_TRUE(wounded.empty());
+  EXPECT_TRUE(t1_status.ok());
+  ASSERT_EQ(granted.size(), 1u);
+  const bool a_first = granted[0] == "a";
+  const Key other = a_first ? "b" : "a";
+  EXPECT_FALSE(t.Holds("a", t2, LockMode::kShared));
+  EXPECT_FALSE(t.Holds("b", t2, LockMode::kShared));
+  EXPECT_TRUE(t.Holds(granted[0], a_first ? Id(0, 3) : Id(0, 4),
+                      LockMode::kExclusive));
+  EXPECT_TRUE(t.Holds(other, t1, LockMode::kExclusive));
+  // The other waiter stays queued behind T1 and gets the key after it.
+  t.ReleaseAll(t1);
+  ASSERT_EQ(granted.size(), 2u);
+  EXPECT_EQ(granted[1], other);
+  EXPECT_EQ(t.locked_keys(), 2u);
+}
+
 }  // namespace
 }  // namespace helios
