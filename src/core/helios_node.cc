@@ -778,9 +778,16 @@ void HeliosNode::RecordDecisionTrace(const TxnId& id, bool committed,
   }
 }
 
-void HeliosNode::FinishTxn(const TxnId& id) {
+HeliosNode::PendingMap::iterator HeliosNode::FindPending(const TxnId& id) {
   auto it = pending_.find(id);
-  assert(it != pending_.end());
+  if (it != pending_.end()) return it;
+  std::fprintf(stderr, "HeliosNode(dc%d): txn %s is not pending\n", id_,
+               id.ToString().c_str());
+  std::abort();
+}
+
+void HeliosNode::FinishTxn(const TxnId& id) {
+  auto it = FindPending(id);
   pending_by_ts_.erase(std::make_pair(it->second.request_ts, id));
   pt_pool_.Remove(id);
   refusals_.erase(id);
@@ -792,8 +799,7 @@ Timestamp HeliosNode::DependencyBumpedVersionTs(const TxnBody& body) {
 }
 
 void HeliosNode::PrepareStaged(const TxnId& id) {
-  auto it = pending_.find(id);
-  assert(it != pending_.end());
+  auto it = FindPending(id);
   PendingTxn pending = std::move(it->second);
   // Out of the pending maps (Algorithm 3 is done with it) but NOT out of
   // pt_pool_: the held intent keeps blocking conflicting admissions until
@@ -857,8 +863,7 @@ void HeliosNode::ProcessFinalizeStaged(const TxnId& id, bool commit,
 }
 
 void HeliosNode::CommitPending(const TxnId& id) {
-  auto it = pending_.find(id);
-  assert(it != pending_.end());
+  auto it = FindPending(id);
   if (it->second.staged) {
     // A cross-shard slice does not commit unilaterally: hold the prepared
     // intent and let the coordinator finalize once every shard acked.
@@ -873,8 +878,9 @@ void HeliosNode::CommitPending(const TxnId& id) {
 
   // The whole state transition — apply, finished record, bookkeeping — is
   // atomic at decision time so no request can observe a committed-but-
-  // invisible transaction. The storage I/O cost only delays the reply (and
-  // keeps the server busy).
+  // invisible transaction. The client hears at once, as on every other
+  // commit path; the storage I/O is charged to the service queue, so it
+  // still occupies the server and every later request queues behind it.
   const Timestamp version_ts = DependencyBumpedVersionTs(*body);
   store_.ApplyTxn(*body, version_ts);
   CheckAppend(id_, AppendFinished(body, /*committed=*/true, version_ts));
@@ -883,18 +889,14 @@ void HeliosNode::CommitPending(const TxnId& id) {
   if (history_ != nullptr) {
     history_->RecordCommit(CommittedTxn{body->id, id_, version_ts, body});
   }
-  const Duration cost = config_.service.write_apply *
-                        static_cast<Duration>(body->write_set.size());
-  service_queue_.Submit(cost, Guarded([body = std::move(body),
-                                       reply = std::move(reply)]() {
-    reply(CommitOutcome{body->id, true, ""});
-  }));
+  service_queue_.Charge(config_.service.write_apply *
+                        static_cast<Duration>(body->write_set.size()));
+  reply(CommitOutcome{body->id, true, ""});
 }
 
 void HeliosNode::AbortPending(const TxnId& id, const std::string& reason,
                               uint64_t NodeCounters::* counter) {
-  auto it = pending_.find(id);
-  assert(it != pending_.end());
+  auto it = FindPending(id);
   TxnBodyPtr body = it->second.body;
   const bool staged = it->second.staged;
   CommitCallback reply = std::move(it->second.reply);

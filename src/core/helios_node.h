@@ -375,6 +375,7 @@ class HeliosNode {
     bool wait_armed = true;
     StagedCommitCallback staged_reply;
   };
+  using PendingMap = std::map<TxnId, PendingTxn>;
 
   /// A prepared cross-shard intent awaiting the coordinator's decision.
   /// Still in pt_pool_ (it must keep blocking conflicting admissions —
@@ -484,6 +485,10 @@ class HeliosNode {
                     uint64_t NodeCounters::* counter);
   void CommitPending(const TxnId& id);
   void FinishTxn(const TxnId& id);  // Shared pending-bookkeeping removal.
+  /// `pending_` entry of a transaction the caller knows is pending. A miss
+  /// is a bug; it prints the id and aborts in every build, not just under
+  /// assert.
+  PendingMap::iterator FindPending(const TxnId& id);
 
   /// The one append path for records this node originates: appends `rec`
   /// to the log, charges the fsync-stall penalty and feeds the WAL sink.
@@ -573,7 +578,7 @@ class HeliosNode {
 
   /// Local preparing transactions by id, plus an index by q(t) so
   /// Algorithm 3 visits them oldest-first.
-  std::map<TxnId, PendingTxn> pending_;
+  PendingMap pending_;
   std::map<std::pair<Timestamp, TxnId>, TxnId> pending_by_ts_;
 
   /// Datacenters known to have refused to acknowledge a transaction.

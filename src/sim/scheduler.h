@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
@@ -54,7 +53,7 @@ class Scheduler {
   /// Time of the earliest pending event, or -1 if none. (Used by the
   /// real-time driver to size its sleeps.)
   SimTime NextEventTime() const {
-    return queue_.empty() ? -1 : queue_.top().time;
+    return queue_.empty() ? -1 : queue_.front().time;
   }
   size_t pending() const { return queue_.size(); }
   uint64_t events_processed() const { return events_processed_; }
@@ -65,6 +64,8 @@ class Scheduler {
     uint64_t seq;
     Callback cb;
   };
+  /// Heap order: the earliest (time, seq) on top. (time, seq) is a total
+  /// order, so the dispatch order does not depend on the heap's layout.
   struct EventCompare {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -72,12 +73,15 @@ class Scheduler {
     }
   };
 
-  void Dispatch(Event e);
+  /// Pops the earliest event and runs it. The callback is moved out of
+  /// the heap, never copied.
+  void DispatchNext();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;
+  /// Binary heap under EventCompare (std::push_heap / std::pop_heap).
+  std::vector<Event> queue_;
 };
 
 }  // namespace helios::sim

@@ -278,6 +278,19 @@ TEST(TwoPcPaxosTest, WoundWaitResolvesConflicts) {
   EXPECT_GE(commits, 1) << "wound-wait should let one transaction through";
 }
 
+/// Polls every 5 ms until `txn` is decided (its commit callback sets
+/// done), then runs `next`.
+void AfterDecided(Rig& rig, std::shared_ptr<TxnDriver> txn,
+                  std::function<void()> next) {
+  rig.scheduler.After(Millis(5), [&rig, txn, next] {
+    if (txn->done) {
+      next();
+    } else {
+      AfterDecided(rig, txn, next);
+    }
+  });
+}
+
 // Randomized contention for both baselines: history must stay
 // conflict-serializable and replicas converge.
 template <typename GetHistory, typename GetStore>
@@ -299,16 +312,7 @@ void RunContention(Rig& rig, int n, int keys, GetHistory get_history,
       std::vector<WriteEntry> writes{{k1, "v"}};
       if (k2 != k1) writes.push_back({k2, "w"});
       txn->Commit(std::move(writes));
-      // Poll for completion (commit callback sets done).
-      auto wait = std::make_shared<std::function<void()>>();
-      *wait = [&rig, txn, step, dc, wait] {
-        if (txn->done) {
-          (*step)(dc);
-        } else {
-          rig.scheduler.After(Millis(5), *wait);
-        }
-      };
-      rig.scheduler.After(Millis(5), *wait);
+      AfterDecided(rig, txn, [step, dc] { (*step)(dc); });
     });
   };
   for (DcId dc = 0; dc < n; ++dc) {
@@ -316,6 +320,7 @@ void RunContention(Rig& rig, int n, int keys, GetHistory get_history,
     rig.scheduler.At(Millis(dc + 2), [step, dc] { (*step)(dc); });
   }
   rig.scheduler.RunUntil(Seconds(40));
+  *step = nullptr;  // Breaks the closure's reference to itself.
 
   const auto& commits = get_history().commits();
   ASSERT_GT(commits.size(), 50u);

@@ -124,6 +124,9 @@ TEST_P(FailureInjectionSweep, SerializableThroughRandomOutages) {
 
   // Run traffic, then let everything recover and quiesce.
   scheduler.RunUntil(Seconds(45));
+  // Break both closures' references to themselves.
+  *loop = nullptr;
+  *inject = nullptr;
 
   // Lossy cells commit far less: every dropped log record head-of-line
   // blocks its channel for an RTO (~2x RTT), so the bar is progress, not

@@ -1,10 +1,11 @@
 // Integration tests for the Helios commit protocol: commit waits, conflict
 // detection (the Figure 2 scenarios), serializability under contention and
 // clock skew, liveness under datacenter outages (Rule 3), replica
-// convergence, and read-only transactions.
+// convergence, read-only transactions, and the reply point of a commit.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,8 +13,11 @@
 #include "common/random.h"
 #include "core/helios_cluster.h"
 #include "core/history.h"
+#include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "workload/client.h"
+#include "workload/tycsb.h"
 
 namespace helios::core {
 namespace {
@@ -332,6 +336,7 @@ ContentionOutcome RunContentionWorkload(TestRig& rig,
   // Run the workload then let everything quiesce (in-flight transactions
   // decide, logs fully propagate).
   rig.scheduler.RunUntil(opt.run_for + Seconds(30));
+  *step = nullptr;  // Breaks the closure's reference to itself.
   return *outcome;
 }
 
@@ -528,6 +533,98 @@ TEST(HeliosReadOnlyTest, SnapshotReadsSeeCommittedData) {
   EXPECT_EQ(snapshot[0].value().value, "1");
   EXPECT_EQ(snapshot[1].value().value, "1");
   EXPECT_GT(rig->cluster->node(1).counters().read_only_txns, 0u);
+}
+
+TEST(HeliosReplyTest, ClientHearsOneClientLinkAfterTheDecision) {
+  // Contended closed loop: remote commits keep delivering apply I/O to
+  // every origin's service queue, which must not hold the reply back.
+  const HeliosConfig cfg = BaseConfig(3);
+  auto rig = MakeUniformRig(3, Millis(60), cfg);
+  obs::TraceRecorder trace;
+  rig->cluster->SetObservability(&trace, nullptr);
+  rig->cluster->Start();
+  workload::WorkloadConfig wl;
+  wl.num_keys = 200;
+  std::vector<std::unique_ptr<workload::ClosedLoopClient>> clients;
+  for (DcId dc = 0; dc < 3; ++dc) {
+    for (int c = 0; c < 4; ++c) {
+      const uint64_t id = clients.size();
+      clients.push_back(std::make_unique<workload::ClosedLoopClient>(
+          id, dc, rig->cluster.get(), &rig->scheduler, wl, /*seed=*/5 + id,
+          0, Seconds(5), Seconds(5)));
+      clients.back()->SetObservability(&trace, nullptr);
+      clients.back()->Start();
+    }
+  }
+  rig->scheduler.RunUntil(Seconds(7));
+  ASSERT_EQ(trace.dropped(), 0u);
+
+  std::map<TxnId, sim::SimTime> decided;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (e.kind == obs::EventKind::kTxnServer && e.detail.empty()) {
+      decided[e.txn] = e.ts_us + e.dur_us;
+    }
+  }
+  size_t committed = 0;
+  uint64_t aborted = 0;
+  for (const auto& client : clients) aborted += client->metrics().aborted;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (e.kind != obs::EventKind::kClientCommit || e.detail != "committed") {
+      continue;
+    }
+    ++committed;
+    const auto it = decided.find(e.txn);
+    ASSERT_NE(it, decided.end()) << e.txn.ToString();
+    EXPECT_EQ(e.ts_us + e.dur_us - it->second, cfg.client_link_one_way)
+        << e.txn.ToString();
+  }
+  EXPECT_GT(committed, 100u);
+  EXPECT_GT(aborted, 0u);  // Contention must actually occur.
+}
+
+TEST(HeliosReplyTest, ApplyIoStillOccupiesTheServerAfterTheReply) {
+  // Eight writes: the apply I/O (8 x write_apply) outlasts the client's
+  // reply plus a follow-up read's trip back to the origin (two links).
+  const HeliosConfig cfg = BaseConfig(2);
+  auto rig = MakeUniformRig(2, Millis(20), cfg);
+  obs::TraceRecorder trace;
+  rig->cluster->SetObservability(&trace, nullptr);
+  rig->cluster->Start();
+  std::vector<WriteEntry> writes;
+  for (int k = 0; k < 8; ++k) writes.push_back({"k" + std::to_string(k), "v"});
+  const Duration apply = cfg.service.write_apply * 8;
+  const Duration link = cfg.client_link_one_way;
+  ASSERT_GT(apply, 2 * link);
+
+  CommitResult commit;
+  sim::SimTime heard = -1;
+  sim::SimTime read_done = -1;
+  rig->scheduler.At(Millis(10), [&] {
+    rig->cluster->ClientCommit(0, {}, writes, [&](const CommitOutcome& o) {
+      commit.outcome = o;
+      commit.done = true;
+      heard = rig->scheduler.Now();
+      // Straight back to the origin: arrives one link later.
+      rig->cluster->ClientRead(0, "k0", [&](Result<VersionedValue> r) {
+        ASSERT_TRUE(r.ok());
+        read_done = rig->scheduler.Now();
+      });
+    });
+  });
+  rig->scheduler.RunUntil(Seconds(1));
+  ASSERT_TRUE(commit.done && commit.outcome.committed);
+  ASSERT_GE(read_done, 0);
+  sim::SimTime decision = -1;  // End of the commit's txn.server span.
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (e.kind == obs::EventKind::kTxnServer && e.txn == commit.outcome.id) {
+      decision = e.ts_us + e.dur_us;
+    }
+  }
+  ASSERT_GE(decision, 0);
+  // The read reached the origin before the apply I/O was done ...
+  EXPECT_LT(heard + link, decision + apply);
+  // ... and was served only after it, then crossed the client link.
+  EXPECT_GE(read_done, decision + apply + link);
 }
 
 TEST(HeliosGcTest, LogsAndRefusalsDoNotGrowUnboundedly) {

@@ -75,6 +75,7 @@ TEST(RetransmitPathTest, SizerRunsOncePerLogicalSendDespiteRetransmits) {
     scheduler.At(Millis(dc + 1), [loop, dc] { (*loop)(dc, 0); });
   }
   scheduler.RunUntil(Seconds(10));
+  *loop = nullptr;  // Breaks the closure's reference to itself.
 
   // The run must actually have exercised the retransmission machinery
   // and committed through it.

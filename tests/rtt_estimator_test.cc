@@ -202,6 +202,7 @@ TEST(RttEstimationIntegrationTest, ReplanKeepsHistorySerializable) {
     (void)rig.cluster->ReplanOffsetsFromEstimates(1);
   });
   rig.scheduler.RunUntil(Seconds(20));
+  *step = nullptr;  // Breaks the closure's reference to itself.
   EXPECT_GT(rig.cluster->history().size(), 200u);
   const Status ser = CheckSerializable(rig.cluster->history().commits());
   EXPECT_TRUE(ser.ok()) << ser.ToString();

@@ -79,6 +79,35 @@ TEST(SchedulerTest, NestedSchedulingWorks) {
   EXPECT_EQ(s.Now(), 5);
 }
 
+TEST(SchedulerTest, DispatchDoesNotCopyCallbacks) {
+  // Callbacks carry whole closures (envelopes, reply functions); the
+  // scheduler must move them from schedule to dispatch, never copy.
+  struct CountingCallback {
+    int* copies;
+    int* calls;
+    CountingCallback(int* copies_in, int* calls_in)
+        : copies(copies_in), calls(calls_in) {}
+    CountingCallback(const CountingCallback& other)
+        : copies(other.copies), calls(other.calls) {
+      ++*copies;
+    }
+    CountingCallback(CountingCallback&&) = default;
+    void operator()() const { ++*calls; }
+  };
+  Scheduler s;
+  int copies = 0;
+  int calls = 0;
+  // Out of order and with ties, so the heap really reorders.
+  for (int i = 0; i < 64; ++i) {
+    s.At((i * 37) % 16, CountingCallback(&copies, &calls));
+  }
+  ASSERT_TRUE(s.Step());
+  s.RunUntil(8);
+  s.Run();
+  EXPECT_EQ(calls, 64);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(ClockTest, OffsetApplied) {
   Scheduler s;
   Clock c(&s, Millis(100));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -120,7 +121,13 @@ std::vector<core::Envelope> CorpusEnvelopes() {
       std::vector<ReadEntry> reads;
       std::vector<WriteEntry> writes;
       for (int j = 0; j < 3; ++j) {
-        const std::string key = "user" + std::to_string(rng.Uniform(500));
+        // Distinct keys: a write set never names a key twice.
+        std::string key;
+        do {
+          key = "user" + std::to_string(rng.Uniform(500));
+        } while (std::any_of(
+            writes.begin(), writes.end(),
+            [&key](const WriteEntry& w) { return w.key == key; }));
         reads.push_back({key, static_cast<Timestamp>(rng.Uniform(1 << 20)),
                          TxnId{static_cast<DcId>(j % 4), rng.Uniform(100)}});
         writes.push_back({key, std::string(1 + rng.Uniform(40), 'v')});
