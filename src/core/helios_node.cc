@@ -458,7 +458,7 @@ bool HeliosNode::AdmitPreparing(const TxnId& id, const TxnBodyPtr& body,
   }
 
   // Lines 7-9: timestamp and knowledge timestamps (Eq. 1).
-  const Timestamp q = clock_->NowUnique();
+  const Timestamp q = NextRecordTs();
   pending->body = body;
   pending->request_ts = q;
   pending->kts.assign(static_cast<size_t>(config_.num_datacenters),
@@ -925,8 +925,10 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
   }
   // Pass 1: rebuild the log and track which transactions finished.
   std::map<TxnId, rdict::LogRecord> preparing;
+  Timestamp max_own_ts = kMinTimestamp;
   for (const rdict::LogRecord& rec : records) {
     log_.RestoreRecord(rec);
+    if (rec.origin == id_) max_own_ts = std::max(max_own_ts, rec.ts);
     if (rec.type == rdict::RecordType::kPreparing) {
       preparing.emplace(rec.body->id, rec);
     } else {
@@ -948,18 +950,28 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
   if (timetable != nullptr) {
     log_.RestoreTimetable(*timetable);
   }
-  // Never reuse a persisted timestamp.
-  clock_->AdvanceTo(log_.table().Get(id_, id_));
+  // Never reuse a persisted timestamp, and promise the restart instant.
+  // Promises sent before the crash are not journaled, but none exceeds the
+  // restart clock; without this one, a record appended below (the
+  // presumed aborts of pass 2 included) could land under a promise every
+  // peer already holds, and no peer would ever ingest it.
+  clock_->AdvanceTo(log_.KnownUpTo(id_));
+  log_.AdvanceOwnClock(clock_->NowUnique());
   records_replayed_ = records.size();
-#ifndef NDEBUG
-  // The recovered timestamp floor must exceed every timestamp this node
-  // itself persisted (peers' timestamps come from their clocks and do not
-  // constrain ours).
-  for (const rdict::LogRecord& rec : records) {
-    assert(rec.origin != id_ || clock_->floor() >= rec.ts);
+  // The contract NextRecordTs relies on, in every build: the clock floor
+  // covers every timestamp this node itself persisted, and T[self][self]
+  // covers the restart clock (peers' timestamps come from their clocks
+  // and do not constrain ours).
+  if (clock_->floor() < max_own_ts || log_.KnownUpTo(id_) < clock_->Now()) {
+    std::fprintf(stderr,
+                 "HeliosNode(dc%d): restored timestamps out of order: "
+                 "floor %lld, own max %lld, T[self][self] %lld, clock %lld\n",
+                 id_, static_cast<long long>(clock_->floor()),
+                 static_cast<long long>(max_own_ts),
+                 static_cast<long long>(log_.KnownUpTo(id_)),
+                 static_cast<long long>(clock_->Now()));
+    std::abort();
   }
-  assert(clock_->floor() >= log_.table().Get(id_, id_));
-#endif
 
   // Pass 2: transactions still preparing. Remote ones re-enter the
   // EPTPool (their decisions will arrive through the log exchange). Our
@@ -1001,6 +1013,19 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
   return Status::Ok();
 }
 
+Timestamp HeliosNode::NextRecordTs() const {
+  // Rule 2's safety argument uses q(t) only as t's position in this log,
+  // so a record needs a timestamp above everything this node has already
+  // appended or promised its peers (T[self][self], raised by
+  // AdvanceOwnClock on every send), not the current clock: the record is
+  // invisible until the next send anyway. The one-interval floor bounds
+  // how far back a record can go; without it, a record appended right
+  // after a stall longer than the grace time would carry a pre-stall
+  // timestamp, and every peer would refuse it.
+  return std::max(log_.KnownUpTo(id_) + 1,
+                  clock_->Now() - config_.log_interval);
+}
+
 Status HeliosNode::AppendOwn(const rdict::LogRecord& rec) {
   if (Status append = log_.AppendLocal(rec); !append.ok()) return append;
   if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
@@ -1013,7 +1038,7 @@ Status HeliosNode::AppendFinished(const TxnBodyPtr& body, bool committed,
   rdict::LogRecord rec;
   rec.type = rdict::RecordType::kFinished;
   rec.committed = committed;
-  rec.ts = clock_->NowUnique();
+  rec.ts = NextRecordTs();
   rec.version_ts = version_ts;
   rec.origin = id_;
   rec.body = body;

@@ -308,8 +308,11 @@ class HeliosNode {
   /// before Start() and before any traffic. Re-applies committed write
   /// sets, repopulates the EPTPool with still-preparing remote
   /// transactions, aborts this node's own in-flight transactions
-  /// (presumed abort: their clients never received a commit), and raises
-  /// the timestamp floor so no persisted timestamp is ever reused.
+  /// (presumed abort: their clients never received a commit), raises
+  /// the timestamp floor so no persisted timestamp is ever reused, and
+  /// promises the restart instant so no record lands under a promise sent
+  /// before the crash. Aborts the process if the restored timestamps break
+  /// that contract.
   Status Restore(const std::vector<rdict::LogRecord>& records,
                  const rdict::Timetable* timetable);
 
@@ -495,9 +498,13 @@ class HeliosNode {
   /// A rejected append (foreign origin, non-increasing timestamp) touches
   /// neither. Callers outside Restore stop the process on failure.
   Status AppendOwn(const rdict::LogRecord& rec);
-  /// AppendOwn of the finished record for `body`, timestamped now.
+  /// AppendOwn of the finished record for `body`, at NextRecordTs.
   Status AppendFinished(const TxnBodyPtr& body, bool committed,
                         Timestamp version_ts);
+  /// Timestamp of the next record this node appends (the preparing
+  /// record's is q(t)): the first instant not yet promised to peers,
+  /// max(T[self][self] + 1, clock - log_interval).
+  Timestamp NextRecordTs() const;
 
   /// The one send path for envelopes: charges the per-message cost,
   /// counts and traces the send, then hands `env` to the WAN.

@@ -1,13 +1,16 @@
 // Integration tests for the Helios commit protocol: commit waits, conflict
 // detection (the Figure 2 scenarios), serializability under contention and
 // clock skew, liveness under datacenter outages (Rule 3), replica
-// convergence, read-only transactions, and the reply point of a commit.
+// convergence, read-only transactions, the reply point of a commit, and
+// the timestamps records take in a node's log.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -625,6 +628,92 @@ TEST(HeliosReplyTest, ApplyIoStillOccupiesTheServerAfterTheReply) {
   EXPECT_LT(heard + link, decision + apply);
   // ... and was served only after it, then crossed the client link.
   EXPECT_GE(read_done, decision + apply + link);
+}
+
+// Records take the first instant not yet promised to peers, so the append
+// rule must keep every record above every T[self][self] its node already
+// sent, across a crash and a restart within one interval of the last
+// send. Sends are observed through the cluster's envelope sizer, appends
+// through the WAL, which journals them in order.
+TEST(HeliosTimestampTest, RecordsLandAboveEverySentPromise) {
+  ContentionOptions opt;
+  opt.seed = 113;
+  opt.run_for = Seconds(8);
+  HeliosConfig cfg = BaseConfig(opt.num_dcs);
+  cfg.fault_tolerance = 1;
+  auto rig = MakeUniformRig(opt.num_dcs, opt.rtt, std::move(cfg));
+  HeliosCluster& cluster = *rig->cluster;
+
+  // Per datacenter: (WAL length when the envelope left, T[self][self] it
+  // carried). Records journaled at or after that length came later.
+  using Send = std::pair<size_t, Timestamp>;
+  std::vector<std::vector<Send>> sends(static_cast<size_t>(opt.num_dcs));
+  cluster.set_envelope_sizer([&cluster, &sends](const Envelope& env) {
+    const DcId from = env.log.from;
+    sends[static_cast<size_t>(from)].emplace_back(
+        cluster.wal(from).contents().records.size(),
+        env.log.table.Get(from, from));
+    return size_t{0};
+  });
+  // DC 1 sends every 5 ms from 6.667 ms on; crash it just after the send
+  // at 3001.667 ms and restart it 1.3 ms later, inside that interval.
+  const DcId victim = 1;
+  size_t wal_at_restart = 0;
+  rig->scheduler.At(Micros(3001700),
+                    [&cluster] { cluster.CrashDatacenter(victim); });
+  rig->scheduler.At(Micros(3003000), [&cluster, &wal_at_restart] {
+    wal_at_restart = cluster.wal(victim).contents().records.size();
+    cluster.RecoverDatacenter(victim);
+  });
+  const ContentionOutcome out = RunContentionWorkload(*rig, opt);
+  EXPECT_GT(out.commits, 100u);
+  EXPECT_GT(out.aborts, 0u);
+  EXPECT_EQ(cluster.recovery_snapshot().recoveries, 1u);
+
+  size_t appended_after_restart = 0;
+  for (DcId dc = 0; dc < opt.num_dcs; ++dc) {
+    const auto& records = cluster.wal(dc).contents().records;
+    const auto& dc_sends = sends[static_cast<size_t>(dc)];
+    ASSERT_FALSE(dc_sends.empty()) << "dc " << dc;
+    size_t next_send = 0;
+    Timestamp promised = kMinTimestamp;
+    for (size_t i = 0; i < records.size(); ++i) {
+      while (next_send < dc_sends.size() && dc_sends[next_send].first <= i) {
+        promised = std::max(promised, dc_sends[next_send].second);
+        ++next_send;
+      }
+      if (records[i].origin != dc) continue;  // Ingested, not appended.
+      EXPECT_GT(records[i].ts, promised)
+          << "dc " << dc << " record " << i << " of "
+          << records[i].body->id.ToString();
+      if (dc == victim && i >= wal_at_restart) ++appended_after_restart;
+    }
+  }
+  // The restart must have appended records (its presumed aborts).
+  EXPECT_GT(appended_after_restart, 0u);
+}
+
+// The one-interval floor: a commit processed right after a process stall
+// longer than the grace time must not take the last pre-stall promise as
+// q(t), or every peer refuses its record and Rule 3 dooms it. DC 0 sends
+// every 10 ms; the stall ends at 2505 ms, so the queued commit is
+// processed before the first send after it.
+TEST(HeliosTimestampTest, CommitRightAfterALongStallIsNotRefused) {
+  HeliosConfig cfg = BaseConfig(3);
+  cfg.fault_tolerance = 1;
+  cfg.log_interval = Millis(10);
+  ASSERT_LT(cfg.grace_time, Millis(1505));
+  auto rig = MakeUniformRig(3, Millis(40), std::move(cfg));
+  rig->cluster->Start();
+  rig->scheduler.At(Seconds(1),
+                    [&] { rig->cluster->node(0).InjectStall(Millis(1505)); });
+  CommitResult result;
+  rig->scheduler.At(Millis(1001), [&] {
+    AsyncCommit(*rig, 0, {}, {{"x", "1"}}, &result);
+  });
+  rig->scheduler.RunUntil(Seconds(5));
+  ASSERT_TRUE(result.done);
+  EXPECT_TRUE(result.outcome.committed) << result.outcome.abort_reason;
 }
 
 TEST(HeliosGcTest, LogsAndRefusalsDoNotGrowUnboundedly) {

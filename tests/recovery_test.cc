@@ -4,10 +4,12 @@
 // the client commit timeout must keep closed-loop clients making progress
 // while their requests vanish into a crashed datacenter.
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //   - WAL-replay equivalence: for each protocol, crash a replica after
 //     traffic quiesces, recover it from its WAL, and compare its store
 //     key-for-key against an identical run that never crashed.
+//   - Restart promise: a Helios node back within one log interval of its
+//     last send still gets its presumed-abort records to every peer.
 //   - Catch-up: traffic continues while the replica is down; after
 //     recovery the replica converges with the survivors and the pulled
 //     suffix shows up in recovery.catchup_records.
@@ -20,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -263,6 +266,41 @@ TEST(WalReplayEquivalence, HeliosFloorAndTimetableSnapshot) {
   }
   ASSERT_GT(max_own, kMinTimestamp);
   EXPECT_GE(cluster.clock(2).floor(), max_own);
+}
+
+// Promises sent before a crash are not journaled, so Restore promises the
+// restart instant before it appends presumed-abort records. DC 2 sends at
+// 994 and 1004 ms; its transaction's preparing record leaves at 1004, the
+// process dies at 1005 and is back at 1007 ms, within one interval. An
+// abort record stamped under the 1004 promise would never be ingested,
+// leaving the transaction in every peer's EPTPool.
+TEST(HeliosRestartTest, PresumedAbortReachesPeersAfterQuickRestart) {
+  sim::Scheduler scheduler;
+  const auto topo = harness::Table2Topology();
+  sim::Network network(&scheduler, topo.size(), 7);
+  harness::ConfigureNetwork(topo, &network);
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = topo.size();
+  cfg.log_interval = Millis(10);
+  cfg.commit_offsets = harness::PlanCommitOffsets(topo, std::nullopt);
+  core::HeliosCluster cluster(&scheduler, &network, cfg);
+  cluster.LoadInitialAll("a", "init");
+  cluster.Start();
+  bool replied = false;
+  scheduler.At(Micros(1000500), [&cluster, &replied] {
+    cluster.ClientCommit(2, {}, {{"a", "v"}},
+                         [&replied](const CommitOutcome&) { replied = true; });
+  });
+  scheduler.At(Millis(1005), [&cluster] { cluster.CrashDatacenter(2); });
+  scheduler.At(Millis(1007), [&cluster] { cluster.RecoverDatacenter(2); });
+  scheduler.RunUntil(Seconds(4));
+
+  EXPECT_FALSE(replied) << "the crash must catch the transaction pending";
+  EXPECT_EQ(cluster.node(2).counters().aborts_liveness, 1u)
+      << "Restore presumed no transaction aborted";
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    EXPECT_EQ(cluster.node(dc).ept_pool_size(), 0u) << "dc " << dc;
+  }
 }
 
 // ---------------------------------------------------------------------------
