@@ -13,6 +13,7 @@
 #ifndef HELIOS_BENCH_BENCH_COMMON_H_
 #define HELIOS_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -76,6 +77,16 @@ inline harness::ExperimentSpec Fig3Spec(harness::Protocol p) {
       .WithWarmup(Scaled(Seconds(4)))
       .WithMeasure(Scaled(Seconds(20)))
       .WithLabel(harness::ProtocolName(p));
+}
+
+/// Figure 5's "RTT estimation 1": a deterministic rotation of
+/// {+25, +75, -25, -75, 0} ms over the topology's pairs (clamped at 0).
+inline lp::RttMatrix RttEstimate1(const harness::Topology& topo) {
+  const double deltas[5] = {25.0, 75.0, -25.0, -75.0, 0.0};
+  int idx = 0;
+  return topo.rtt_ms.Map([&](int, int, double rtt) {
+    return std::max(0.0, rtt + deltas[idx++ % 5]);
+  });
 }
 
 inline void PrintHeading(const std::string& title) {

@@ -36,20 +36,7 @@ int main(int argc, char** argv) {
     std::optional<lp::RttMatrix> estimate;
   };
 
-  // RTT estimate 1: deterministic rotation of {+25, +75, -25, -75, 0} over
-  // the 10 pairs.
-  lp::RttMatrix estimate1 = topo.rtt_ms;
-  {
-    const double deltas[5] = {25.0, 75.0, -25.0, -75.0, 0.0};
-    int idx = 0;
-    for (int a = 0; a < topo.size(); ++a) {
-      for (int b = a + 1; b < topo.size(); ++b) {
-        const double noisy =
-            std::max(0.0, topo.rtt_ms.Get(a, b) + deltas[idx++ % 5]);
-        estimate1.Set(a, b, noisy);
-      }
-    }
-  }
+  const lp::RttMatrix estimate1 = bench::RttEstimate1(topo);
   lp::RttMatrix estimate2(topo.size());  // All zero.
 
   std::vector<Scenario> scenarios = {

@@ -1,8 +1,9 @@
 // planner: a command-line commit-latency planner for arbitrary topologies.
 //
 // Feeds an RTT matrix through the paper's planning pipeline: the Lemma 1
-// lower bound, the MAO linear program (Problem 1), commit-offset assignment
-// (Eq. 5), the analytic master/slave and majority alternatives (Table 1),
+// lower bound, the MAO linear program (Problem 1), the commit offsets
+// Helios installs (MAO's latencies with each pair's Lemma-1 slack split
+// evenly), the analytic master/slave and majority alternatives (Table 1),
 // and the Appendix A.2 throughput-optimal assignment.
 //
 // Usage:
@@ -83,10 +84,11 @@ int main(int argc, char** argv) {
   std::printf("\nAchievable commit latencies (ms):\n%s",
               table.ToString().c_str());
 
-  // Commit offsets Helios would run with.
-  const auto offsets = lp::CommitOffsetsFromLatencies(rtt, mao.value());
+  // Commit offsets Helios runs with: co[a][b] = (L_a - L_b) / 2, so every
+  // pair sums to exactly zero (Rule 1 with equality).
+  const auto offsets = lp::OffsetsMs(lp::EvenSplitOffsetsUs(mao.value()));
   const Status rule1 = lp::ValidateOffsets(offsets);
-  std::printf("\nCommit offsets co[a][b] = L_a - RTT(a,b)/2 (ms), Rule 1 %s:\n",
+  std::printf("\nCommit offsets co[a][b] = (L_a - L_b)/2 (ms), Rule 1 %s:\n",
               rule1.ok() ? "satisfied" : "VIOLATED");
   std::vector<std::string> oheader = {"from\\to"};
   for (const auto& name : topo.names) oheader.push_back(name);

@@ -22,8 +22,10 @@ int main() {
   const harness::Topology topo = harness::PaperExampleTopology();
 
   // 2. Plan commit latencies with the MAO linear program and turn them
-  //    into commit offsets (Eq. 5). This is the step that makes Helios
-  //    commit faster than master/slave or majority replication.
+  //    into commit offsets co[a][b] = (L_a - L_b)/2 (PlanCommitOffsets;
+  //    every pair is tight here, so these are the paper's Eq. 5 offsets).
+  //    This is the step that makes Helios commit faster than master/slave
+  //    or majority replication.
   const auto latencies = lp::SolveMao(topo.rtt_ms).value();
   std::printf("planned commit latencies: A=%.0fms B=%.0fms C=%.0fms (avg %.1f)\n",
               latencies[0], latencies[1], latencies[2],

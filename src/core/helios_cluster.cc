@@ -267,16 +267,9 @@ Result<double> HeliosCluster::ReplanOffsetsFromEstimates(DcId reference) {
   const lp::RttMatrix matrix = estimator->MatrixMs();
   auto mao = lp::SolveMao(matrix);
   if (!mao.ok()) return mao.status();
-  const auto offsets_ms = lp::CommitOffsetsFromLatencies(matrix, mao.value());
+  auto offsets = lp::EvenSplitOffsetsUs(mao.value());
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    std::vector<Duration> row(static_cast<size_t>(config_.num_datacenters), 0);
-    for (DcId x = 0; x < config_.num_datacenters; ++x) {
-      if (x != dc) {
-        row[static_cast<size_t>(x)] =
-            static_cast<Duration>(offsets_ms[dc][x] * 1000.0);
-      }
-    }
-    node(dc).SetCommitOffsetRow(std::move(row));
+    node(dc).SetCommitOffsetRow(std::move(offsets[static_cast<size_t>(dc)]));
   }
   return lp::AverageLatency(mao.value());
 }

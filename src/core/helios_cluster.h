@@ -105,11 +105,11 @@ class HeliosCluster : public ProtocolCluster {
 
   /// Replans commit offsets from the live RTT estimates (requires
   /// config.estimate_rtts and a complete estimated matrix at datacenter
-  /// `reference`): solves MAO over the estimate and installs each row on
-  /// its node. In the simulator this is atomic across nodes, so Rule 1
-  /// holds throughout; a live deployment would stage the change
-  /// (raise-offsets first, then lower). Returns the estimated matrix's
-  /// MAO average latency (ms).
+  /// `reference`): solves MAO over the estimate and installs each row of
+  /// lp::EvenSplitOffsetsUs on its node. In the simulator this is atomic
+  /// across nodes, so Rule 1 holds throughout; a live deployment would
+  /// stage the change (raise-offsets first, then lower). Returns the
+  /// estimated matrix's MAO average latency (ms).
   Result<double> ReplanOffsetsFromEstimates(DcId reference = 0);
 
   /// Installs a function that computes an envelope's on-wire size (see

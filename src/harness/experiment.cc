@@ -42,16 +42,7 @@ std::vector<std::vector<Duration>> PlanCommitOffsets(
   const lp::RttMatrix& rtt = estimate.has_value() ? *estimate : topology.rtt_ms;
   auto mao = lp::SolveMao(rtt);
   assert(mao.ok());
-  const auto offsets_ms = lp::CommitOffsetsFromLatencies(rtt, mao.value());
-  const int n = topology.size();
-  std::vector<std::vector<Duration>> out(
-      static_cast<size_t>(n), std::vector<Duration>(static_cast<size_t>(n), 0));
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      out[a][b] = static_cast<Duration>(offsets_ms[a][b] * 1000.0);
-    }
-  }
-  return out;
+  return lp::EvenSplitOffsetsUs(mao.value());
 }
 
 namespace {

@@ -216,9 +216,10 @@ struct ExperimentResult {
 /// Runs one experiment to completion. Deterministic given the config.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
-/// Commit offsets (microseconds) Helios would use for this config: MAO on
-/// the RTT estimate, converted through Eq. 5. Exposed for benches that
-/// report the planning stage itself.
+/// Commit offsets (microseconds) Helios uses for this config: MAO on the
+/// RTT estimate (the topology's means when absent), with each pair's slack
+/// split evenly (lp::EvenSplitOffsetsUs). Exposed for the examples and for
+/// benches and tests that build clusters directly.
 std::vector<std::vector<Duration>> PlanCommitOffsets(
     const Topology& topology, const std::optional<lp::RttMatrix>& estimate);
 

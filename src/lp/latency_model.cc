@@ -5,14 +5,12 @@
 
 namespace helios::lp {
 
-LatencyPrediction PredictLatencies(const RttMatrix& true_rtt,
-                                   const RttMatrix& estimated_rtt,
-                                   const std::vector<double>& planned_latency_ms,
-                                   const std::vector<double>& clock_offset_ms,
-                                   double overhead_ms) {
+LatencyPrediction PredictLatencies(
+    const RttMatrix& true_rtt,
+    const std::vector<std::vector<double>>& offsets_ms,
+    const std::vector<double>& clock_offset_ms, double overhead_ms) {
   const int n = true_rtt.size();
-  assert(estimated_rtt.size() == n);
-  assert(static_cast<int>(planned_latency_ms.size()) == n);
+  assert(static_cast<int>(offsets_ms.size()) == n);
   assert(clock_offset_ms.empty() ||
          static_cast<int>(clock_offset_ms.size()) == n);
 
@@ -28,8 +26,7 @@ LatencyPrediction PredictLatencies(const RttMatrix& true_rtt,
     for (int b = 0; b < n; ++b) {
       if (b == a) continue;
       const double theta = offset(a) - offset(b);
-      const double rho = true_rtt.Get(a, b) - estimated_rtt.Get(a, b);
-      const double wait = planned_latency_ms[a] + theta + rho / 2.0;  // Eq. 7
+      const double wait = offsets_ms[a][b] + true_rtt.Get(a, b) / 2.0 + theta;
       if (wait > worst) {
         worst = wait;
         out.binding_peer[a] = b;
@@ -43,9 +40,10 @@ LatencyPrediction PredictLatencies(const RttMatrix& true_rtt,
 LatencyPrediction PredictLatenciesFromEstimate(
     const RttMatrix& true_rtt, const RttMatrix& estimated_rtt,
     const std::vector<double>& clock_offset_ms, double overhead_ms) {
+  assert(estimated_rtt.size() == true_rtt.size());
   auto mao = SolveMao(estimated_rtt);
   assert(mao.ok());
-  return PredictLatencies(true_rtt, estimated_rtt, mao.value(),
+  return PredictLatencies(true_rtt, OffsetsMs(EvenSplitOffsetsUs(mao.value())),
                           clock_offset_ms, overhead_ms);
 }
 

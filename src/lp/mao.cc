@@ -76,6 +76,32 @@ std::vector<std::vector<double>> CommitOffsetsFromLatencies(
   return co;
 }
 
+std::vector<std::vector<Duration>> EvenSplitOffsetsUs(
+    const std::vector<double>& latencies) {
+  const size_t n = latencies.size();
+  std::vector<std::vector<Duration>> co(n, std::vector<Duration>(n, 0));
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      // (L_a - L_b) / 2 ms, in microseconds.
+      co[a][b] = std::llround((latencies[a] - latencies[b]) * 500.0);
+      co[b][a] = -co[a][b];
+    }
+  }
+  return co;
+}
+
+std::vector<std::vector<double>> OffsetsMs(
+    const std::vector<std::vector<Duration>>& offsets_us) {
+  std::vector<std::vector<double>> out;
+  out.reserve(offsets_us.size());
+  for (const auto& row : offsets_us) {
+    out.emplace_back();
+    out.back().reserve(row.size());
+    for (Duration co : row) out.back().push_back(ToMillis(co));
+  }
+  return out;
+}
+
 std::vector<double> EstimateLatencies(
     const RttMatrix& rtt, const std::vector<std::vector<double>>& offsets) {
   const int n = rtt.size();

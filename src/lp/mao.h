@@ -4,8 +4,8 @@
 // Appendix A.2.
 //
 // All latencies in this module are in milliseconds (matching the paper's
-// presentation); the Helios engine converts to microsecond Durations when
-// it consumes the offsets.
+// presentation), except the offsets Helios installs: EvenSplitOffsetsUs
+// returns them as the engine's microsecond Durations.
 
 #ifndef HELIOS_LP_MAO_H_
 #define HELIOS_LP_MAO_H_
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/types.h"
 
 namespace helios::lp {
 
@@ -58,10 +59,28 @@ bool SatisfiesLowerBound(const RttMatrix& rtt,
                          const std::vector<double>& latencies,
                          double eps = 1e-6);
 
-/// Commit offsets from target latencies (Eq. 5):
+/// Commit offsets from target latencies (Eq. 5, the paper's plan):
 ///   co[a][b] = L_a - RTT(a, b) / 2        (diagonal entries are 0)
+/// It keeps each pair's whole Lemma-1 slack L_a + L_b - RTT(a, b) inside
+/// both offsets; EvenSplitOffsetsUs is the plan Helios installs.
 std::vector<std::vector<double>> CommitOffsetsFromLatencies(
     const RttMatrix& rtt, const std::vector<double>& latencies);
+
+/// The commit offsets Helios installs, in integer microseconds: each pair's
+/// Lemma-1 slack split evenly between its two offsets,
+///   co[a][b] = (L_a - L_b) / 2,   co[b][a] = -co[a][b] exactly
+/// (rounded to the nearest microsecond; diagonal entries are 0). Rule 1
+/// holds with equality by antisymmetry whatever L is. Where
+/// L_a + L_b >= RTT(a, b) (Lemma 1), (L_a - L_b) / 2 <= L_a - RTT(a, b) / 2,
+/// so no offset exceeds Eq. 5's and the two agree on tight pairs; for an
+/// MAO optimum, Eq. 4 over these offsets still returns L.
+std::vector<std::vector<Duration>> EvenSplitOffsetsUs(
+    const std::vector<double>& latencies);
+
+/// Microsecond offsets in milliseconds, for EstimateLatencies,
+/// ValidateOffsets and PredictLatencies.
+std::vector<std::vector<double>> OffsetsMs(
+    const std::vector<std::vector<Duration>>& offsets_us);
 
 /// Estimated commit latency from offsets (Eq. 4):
 ///   L_a = max_b (co[a][b] + RTT(a, b) / 2)

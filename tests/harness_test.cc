@@ -5,11 +5,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/experiment.h"
 #include "harness/topology.h"
 
 namespace helios::harness {
 namespace {
+
+/// Shortest-path RTTs (Floyd-Warshall), the metric closure of `rtt`. The
+/// timetables relay knowledge: A learns what B knows from C's envelope as
+/// soon as from B's own, so knowledge travels the closure's paths. Table 2
+/// breaks the triangle inequality (O-V-I is 150ms against a direct 175ms),
+/// so Lemma 1 binds measured latencies only through the closure.
+lp::RttMatrix MetricClosure(const lp::RttMatrix& rtt) {
+  const int n = rtt.size();
+  lp::RttMatrix out = rtt;
+  for (int k = 0; k < n; ++k) {
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (a == k || b == k) continue;
+        out.Set(a, b, std::min(out.Get(a, b), out.Get(a, k) + out.Get(k, b)));
+      }
+    }
+  }
+  return out;
+}
 
 ExperimentConfig SmallConfig(Protocol p) {
   ExperimentConfig cfg;
@@ -65,11 +86,19 @@ TEST(PlanCommitOffsetsTest, SatisfiesRule1AndMatchesMao) {
   const auto offsets = PlanCommitOffsets(topo, std::nullopt);
   ASSERT_EQ(offsets.size(), 5u);
   for (int a = 0; a < 5; ++a) {
+    ASSERT_EQ(offsets[a].size(), 5u);
     EXPECT_EQ(offsets[a][a], 0);
     for (int b = a + 1; b < 5; ++b) {
-      EXPECT_GE(offsets[a][b] + offsets[b][a], -1000)  // >= 0 modulo us rounding
-          << a << "," << b;
+      // Rule 1 with equality, to the microsecond.
+      EXPECT_EQ(offsets[a][b] + offsets[b][a], 0) << a << "," << b;
     }
+  }
+  // Eq. 4 over the installed offsets returns MAO's assignment.
+  const auto mao = lp::SolveMao(topo.rtt_ms).value();
+  const auto estimated =
+      lp::EstimateLatencies(topo.rtt_ms, lp::OffsetsMs(offsets));
+  for (int a = 0; a < 5; ++a) {
+    EXPECT_NEAR(estimated[a], mao[a], 1e-3) << topo.names[a];
   }
 }
 
@@ -134,11 +163,16 @@ TEST(ExperimentTest, HeliosLatencyTracksOptimalShape) {
   ExperimentConfig cfg = SmallConfig(Protocol::kHelios0);
   cfg.check_serializability = false;
   const ExperimentResult r = RunExperiment(cfg);
-  // Measured latency exceeds the optimum (overheads) but stays within a
-  // small margin per datacenter, and the per-DC ordering follows the
-  // optimal assignment: O and C fastest, S slowest.
+  // Measured latency stays within a small margin over the optimum per
+  // datacenter, and the per-DC ordering follows the optimal assignment: O
+  // and C fastest, S slowest. The floor is MAO over the metric closure
+  // (85.1ms on Table 2, against the paper's 90.6ms): relayed knowledge can
+  // bring a datacenter under its own MAO latency.
+  const double floor_ms = lp::AverageLatency(
+      lp::SolveMao(MetricClosure(cfg.topology.rtt_ms)).value());
+  EXPECT_NEAR(floor_ms, 85.1, 0.05);
+  EXPECT_GT(r.avg_latency_ms, floor_ms);
   for (size_t dc = 0; dc < 5; ++dc) {
-    EXPECT_GT(r.per_dc[dc].latency_mean_ms, r.optimal_latency_ms[dc] - 1.0);
     EXPECT_LT(r.per_dc[dc].latency_mean_ms, r.optimal_latency_ms[dc] + 40.0);
   }
   EXPECT_LT(r.per_dc[1].latency_mean_ms, r.per_dc[0].latency_mean_ms);
@@ -148,15 +182,18 @@ TEST(ExperimentTest, HeliosLatencyTracksOptimalShape) {
 
 TEST(ExperimentTest, MeasuredLatenciesRespectLemma1) {
   // Lemma 1 applied to the measured system: for every pair, the sum of
-  // measured Helios-0 latencies must be at least the RTT between them.
+  // measured Helios-0 latencies must be at least the shortest-path RTT
+  // between them (knowledge may be relayed through a third datacenter).
   ExperimentConfig cfg = SmallConfig(Protocol::kHelios0);
   cfg.check_serializability = false;
   const ExperimentResult r = RunExperiment(cfg);
   const Topology topo = Table2Topology();
+  const lp::RttMatrix closure = MetricClosure(topo.rtt_ms);
+  EXPECT_DOUBLE_EQ(closure.Get(1, 3), 150.0);  // O-V-I.
   for (int a = 0; a < 5; ++a) {
     for (int b = a + 1; b < 5; ++b) {
       EXPECT_GE(r.per_dc[a].latency_mean_ms + r.per_dc[b].latency_mean_ms,
-                topo.rtt_ms.Get(a, b))
+                closure.Get(a, b))
           << topo.names[a] << "+" << topo.names[b];
     }
   }

@@ -1,8 +1,9 @@
 // Integration tests for the Helios commit protocol: commit waits, conflict
-// detection (the Figure 2 scenarios), serializability under contention and
-// clock skew, liveness under datacenter outages (Rule 3), replica
-// convergence, read-only transactions, the reply point of a commit, and
-// the timestamps records take in a node's log.
+// detection (the Figure 2 scenarios), Rule 1's integer edge,
+// serializability under contention and clock skew, liveness under
+// datacenter outages (Rule 3), replica convergence, read-only
+// transactions, the reply point of a commit, and the timestamps records
+// take in a node's log.
 
 #include <gtest/gtest.h>
 
@@ -267,6 +268,61 @@ TEST(HeliosOffsetsTest, NegativeOffsetsShortenTheWait) {
   EXPECT_LT(at_b.latency, Millis(80));
   // Lemma 1: the sum of the two commit latencies >= RTT.
   EXPECT_GE(at_a.latency + at_b.latency, Millis(60));
+}
+
+// Rule 1's integer edge. Knowledge T of a peer covers the records it
+// stamped T, so a pair whose offsets sum to -1 us is still safe and -2 us
+// is the first unsafe sum. Two DCs 40ms apart (no jitter, 10ms interval)
+// send at 10, 20, ... ms (DC 0) and 15, 25, ... ms (DC 1). A transaction
+// that reads and writes k arrives at DC 0 at 11.5 ms and another at DC 1
+// at 16.5 ms, so q = 10001 and 15001 us. With co[0][1] = 4999 us, DC 0's
+// transaction needs DC 1's knowledge of 15000 us (its 15ms envelope,
+// which predates DC 1's record); DC 1's needs DC 0's knowledge of
+// 15001 + co[1][0] us. At co[1][0] = -5000 that is 10001, DC 0's 20ms
+// envelope, which carries the conflicting record; at -5001 it is 10000,
+// DC 0's 10ms envelope, which does not.
+struct Rule1Boundary {
+  CommitResult at_0;
+  CommitResult at_1;
+  Status serializable;
+};
+
+Rule1Boundary RunRule1Boundary(Duration co_1_0) {
+  HeliosConfig cfg = BaseConfig(2);
+  cfg.log_interval = Millis(10);
+  cfg.commit_offsets = {{0, Micros(4999)}, {co_1_0, 0}};
+  auto rig = MakeUniformRig(2, Millis(40), std::move(cfg));
+  rig->cluster->Start();
+  Rule1Boundary out;
+  const ReadEntry initial{"k", kMinTimestamp, TxnId{}};
+  rig->scheduler.At(Millis(11), [&] {
+    AsyncCommit(*rig, 0, {initial}, {{"k", "0"}}, &out.at_0);
+  });
+  rig->scheduler.At(Millis(16), [&] {
+    AsyncCommit(*rig, 1, {initial}, {{"k", "1"}}, &out.at_1);
+  });
+  rig->scheduler.RunUntil(Seconds(1));
+  out.serializable = CheckSerializable(rig->cluster->history().commits());
+  return out;
+}
+
+TEST(Rule1BoundaryTest, SumsOfZeroAndMinusOneMicrosecondAbortTheConflict) {
+  for (Duration co_1_0 : {Micros(-4999), Micros(-5000)}) {
+    const Rule1Boundary r = RunRule1Boundary(co_1_0);
+    ASSERT_TRUE(r.at_0.done && r.at_1.done) << co_1_0;
+    EXPECT_TRUE(r.at_0.outcome.committed) << co_1_0;
+    EXPECT_FALSE(r.at_1.outcome.committed) << co_1_0;
+    EXPECT_EQ(r.at_1.outcome.abort_reason, "conflict:remote") << co_1_0;
+    EXPECT_TRUE(r.serializable.ok()) << r.serializable.ToString();
+  }
+}
+
+TEST(Rule1BoundaryTest, SumOfMinusTwoMicrosecondsBreaksSerializability) {
+  const Rule1Boundary r = RunRule1Boundary(Micros(-5001));
+  ASSERT_TRUE(r.at_0.done && r.at_1.done);
+  EXPECT_TRUE(r.at_0.outcome.committed);
+  EXPECT_TRUE(r.at_1.outcome.committed);
+  EXPECT_FALSE(r.serializable.ok());
 }
 
 // Randomized closed-loop clients on a small key space; the committed

@@ -1,7 +1,9 @@
-// Tests for the Appendix A.1 analytic latency model (Eqs. 6-8) and its
-// agreement with the simulator.
+// Tests for the Appendix A.1 analytic latency model (Eqs. 6-8) over the
+// commit offsets in use, and its agreement with the simulator.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "harness/experiment.h"
 #include "harness/topology.h"
@@ -13,12 +15,14 @@ namespace {
 RttMatrix Table2Rtt() { return harness::Table2Topology().rtt_ms; }
 
 TEST(LatencyModelTest, NoErrorsReproducesPlannedLatencies) {
+  // Without skew or estimation error the model is Eq. 4 over the installed
+  // offsets, which returns MAO's L.
   const RttMatrix rtt = Table2Rtt();
   const auto planned = SolveMao(rtt).value();
-  const auto pred = PredictLatencies(rtt, rtt, planned, {}, 0.0);
+  const auto pred = PredictLatenciesFromEstimate(rtt, rtt, {}, 0.0);
   ASSERT_EQ(pred.latency_ms.size(), planned.size());
   for (size_t i = 0; i < planned.size(); ++i) {
-    EXPECT_NEAR(pred.latency_ms[i], planned[i], 1e-9) << i;
+    EXPECT_NEAR(pred.latency_ms[i], planned[i], 1e-3) << i;
     EXPECT_GE(pred.binding_peer[i], 0);
   }
 }
@@ -28,10 +32,9 @@ TEST(LatencyModelTest, ClockAheadPaysItsOwnSkew) {
   // grows by exactly s (theta(A, B) = +s for every B), and peers whose
   // binding wait is on A can only get faster, never slower.
   const RttMatrix rtt = Table2Rtt();
-  const auto planned = SolveMao(rtt).value();
   const std::vector<double> skew = {100.0, 0.0, 0.0, 0.0, 0.0};
-  const auto base = PredictLatencies(rtt, rtt, planned, {}, 0.0);
-  const auto pred = PredictLatencies(rtt, rtt, planned, skew, 0.0);
+  const auto base = PredictLatenciesFromEstimate(rtt, rtt, {}, 0.0);
+  const auto pred = PredictLatenciesFromEstimate(rtt, rtt, skew, 0.0);
   EXPECT_NEAR(pred.latency_ms[0], base.latency_ms[0] + 100.0, 1e-9);
   for (size_t i = 1; i < pred.latency_ms.size(); ++i) {
     EXPECT_LE(pred.latency_ms[i], base.latency_ms[i] + 1e-9) << i;
@@ -40,10 +43,9 @@ TEST(LatencyModelTest, ClockAheadPaysItsOwnSkew) {
 
 TEST(LatencyModelTest, ClockBehindHelpsItself) {
   const RttMatrix rtt = Table2Rtt();
-  const auto planned = SolveMao(rtt).value();
   const std::vector<double> skew = {-100.0, 0.0, 0.0, 0.0, 0.0};
-  const auto pred = PredictLatencies(rtt, rtt, planned, skew, 0.0);
-  const auto base = PredictLatencies(rtt, rtt, planned, {}, 0.0);
+  const auto pred = PredictLatenciesFromEstimate(rtt, rtt, skew, 0.0);
+  const auto base = PredictLatenciesFromEstimate(rtt, rtt, {}, 0.0);
   // V's own wait shrinks (floored at 0); everyone whose binding peer is V
   // waits up to 100ms longer.
   EXPECT_LT(pred.latency_ms[0], base.latency_ms[0]);
@@ -58,9 +60,48 @@ TEST(LatencyModelTest, RttUnderestimateAddsHalfTheErrorPerEq7) {
   // (Any split summing to 60 is MAO-optimal for two datacenters; pin the
   // symmetric one explicitly.)
   const std::vector<double> planned = {30.0, 30.0};
-  const auto pred = PredictLatencies(rtt, estimate, planned, {}, 0.0);
+  const auto pred = PredictLatencies(
+      rtt, CommitOffsetsFromLatencies(estimate, planned), {}, 0.0);
   EXPECT_NEAR(pred.latency_ms[0], 30.0 + 20.0, 1e-9);
   EXPECT_NEAR(pred.latency_ms[1], 30.0 + 20.0, 1e-9);
+}
+
+TEST(LatencyModelTest, Eq5OffsetsReduceToEq7) {
+  // Over the paper's Eq. 5 offsets, every per-peer wait is exactly Eq. 7's
+  // L_A + theta(A, B) + rho(A, B) / 2.
+  const RttMatrix rtt = Table2Rtt();
+  const RttMatrix estimate = rtt.Map([](int a, int b, double v) {
+    return std::max(0.0, v + 10.0 * ((a + 2 * b) % 5) - 20.0);
+  });
+  const auto planned = SolveMao(estimate).value();
+  const std::vector<double> skew = {24.0, -60.0, 120.0, -10.0, 55.0};
+  const auto pred = PredictLatencies(
+      rtt, CommitOffsetsFromLatencies(estimate, planned), skew, 0.0);
+  for (int a = 0; a < rtt.size(); ++a) {
+    double eq7 = 0.0;
+    for (int b = 0; b < rtt.size(); ++b) {
+      if (b == a) continue;
+      const double rho = rtt.Get(a, b) - estimate.Get(a, b);
+      eq7 = std::max(eq7, planned[a] + (skew[a] - skew[b]) + rho / 2.0);
+    }
+    EXPECT_NEAR(pred.latency_ms[a], eq7, 1e-9) << a;
+  }
+}
+
+TEST(LatencyModelTest, EvenSplitWaitsHalfASlackLessThanEq7) {
+  // Fig. 5's "V -100ms": every peer's clock is 100ms ahead of V's, so I
+  // binds on V, a slack pair (L_V + L_I - RTT = 149ms). Eq. 7 charges I
+  // L_I + 100 = 265ms; the installed co[I][V] = (L_I - L_V) / 2 = 48.5ms
+  // waits 48.5 + 84/2 + 100 = 190.5ms.
+  const RttMatrix rtt = Table2Rtt();
+  const std::vector<double> skew = {-100.0, 0.0, 0.0, 0.0, 0.0};
+  const auto pred = PredictLatenciesFromEstimate(rtt, rtt, skew, 0.0);
+  EXPECT_EQ(pred.binding_peer[3], 0);
+  EXPECT_NEAR(pred.latency_ms[3], 190.5, 1e-9);
+  const auto planned = SolveMao(rtt).value();
+  const auto eq7 = PredictLatencies(
+      rtt, CommitOffsetsFromLatencies(rtt, planned), skew, 0.0);
+  EXPECT_NEAR(eq7.latency_ms[3], 265.0, 1e-6);
 }
 
 TEST(LatencyModelTest, OverestimateNeverGoesNegative) {
@@ -99,10 +140,12 @@ TEST(LatencyModelTest, PredictionMatchesSimulation) {
   std::vector<double> skew_ms;
   for (Duration d : cfg.clock_offsets) skew_ms.push_back(ToMillis(d));
   // The constant overhead is the synchronized run's mean per-datacenter
-  // gap over the model (5.2 ms): client links, service and queueing, and
+  // gap over the model (2.1 ms): client links, service and queueing, and
   // what remains of the propagation tick once each record takes the first
-  // timestamp its node has not yet promised.
-  const double overhead_ms = 5.2;
+  // timestamp its node has not yet promised, less what knowledge relayed
+  // through a third datacenter saves (O and I measure under their MAO
+  // latencies).
+  const double overhead_ms = 2.1;
   const auto pred =
       PredictLatenciesFromEstimate(rtt, rtt, skew_ms, overhead_ms);
   for (size_t dc = 0; dc < 5; ++dc) {

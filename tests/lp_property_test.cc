@@ -156,6 +156,73 @@ TEST_P(MaoPropertyTest, OffsetsAlwaysSatisfyRule1AndInvertThroughEq4) {
   }
 }
 
+// The plan Helios installs (lp::EvenSplitOffsetsUs) over MAO's optimum.
+struct InstalledPlan {
+  RttMatrix rtt;
+  std::vector<double> latencies;
+  std::vector<std::vector<Duration>> offsets_us;
+};
+
+std::vector<InstalledPlan> RandomInstalledPlans(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<InstalledPlan> plans;
+  for (int n : {3, 5, 7}) {
+    InstalledPlan p{RandomRtt(rng, n, 250.0), {}, {}};
+    p.latencies = SolveMao(p.rtt).value();
+    p.offsets_us = EvenSplitOffsetsUs(p.latencies);
+    plans.push_back(std::move(p));
+  }
+  return plans;
+}
+
+TEST_P(MaoPropertyTest, InstalledOffsetsOfEachPairSumToZero) {
+  for (const InstalledPlan& p : RandomInstalledPlans(GetParam() ^ 0x5EED)) {
+    const int n = p.rtt.size();
+    ASSERT_EQ(static_cast<int>(p.offsets_us.size()), n);
+    for (int a = 0; a < n; ++a) {
+      EXPECT_EQ(p.offsets_us[a][a], 0);
+      for (int b = a + 1; b < n; ++b) {
+        EXPECT_EQ(p.offsets_us[a][b] + p.offsets_us[b][a], 0)
+            << "n=" << n << " pair " << a << "," << b;
+      }
+    }
+  }
+}
+
+TEST_P(MaoPropertyTest, InstalledOffsetsInvertThroughEq4ToMao) {
+  for (const InstalledPlan& p : RandomInstalledPlans(GetParam() ^ 0x5EED)) {
+    const auto estimated = EstimateLatencies(p.rtt, OffsetsMs(p.offsets_us));
+    for (int a = 0; a < p.rtt.size(); ++a) {
+      EXPECT_NEAR(estimated[a], p.latencies[a], 1e-3)  // 1 us.
+          << "n=" << p.rtt.size() << " dc " << a;
+    }
+  }
+}
+
+TEST_P(MaoPropertyTest, InstalledOffsetsNeverExceedEq5AndMatchItOnTightPairs) {
+  int slack_pairs = 0;
+  for (const InstalledPlan& p : RandomInstalledPlans(GetParam() ^ 0x5EED)) {
+    const int n = p.rtt.size();
+    const auto eq5 = CommitOffsetsFromLatencies(p.rtt, p.latencies);
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (a == b) continue;
+        // Eq. 5 in microseconds; the installed plan rounds to the nearest.
+        const double eq5_us = eq5[a][b] * 1000.0;
+        const auto installed = static_cast<double>(p.offsets_us[a][b]);
+        EXPECT_LE(installed, eq5_us + 0.5 + 1e-6) << a << "," << b;
+        const double slack = p.latencies[a] + p.latencies[b] - p.rtt.Get(a, b);
+        if (slack < 1e-6) {
+          EXPECT_NEAR(installed, eq5_us, 0.5 + 1e-6) << a << "," << b;
+        } else if (a < b) {
+          ++slack_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(slack_pairs, 0) << "no slack pair drawn: the split went untested";
+}
+
 TEST_P(MaoPropertyTest, ThroughputOptimizerStaysFeasibleAndBeatsNothingWorse) {
   Rng rng(GetParam() ^ 0x7777);
   const RttMatrix rtt = RandomRtt(rng, 4, 150.0);
