@@ -577,8 +577,7 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
     } else {
       // Lines 9-13.
       if (rec.committed) {
-        service_queue_.Charge((config_.service.write_apply + FsyncPenalty()) *
-                              static_cast<Duration>(rec.body->write_set.size()));
+        DeferApplyIo(*rec.body);
         store_.ApplyTxn(*rec.body, rec.version_ts);
       }
       ept_pool_.Remove(rec.body->id);
@@ -847,8 +846,7 @@ void HeliosNode::ProcessFinalizeStaged(const TxnId& id, bool commit,
   pt_pool_.Remove(id);
 
   if (commit) {
-    service_queue_.Charge((config_.service.write_apply + FsyncPenalty()) *
-                          static_cast<Duration>(hold.body->write_set.size()));
+    DeferApplyIo(*hold.body);
     store_.ApplyTxn(*hold.body, commit_ts);
     ++counters_.staged_commits;
   } else {
@@ -879,8 +877,8 @@ void HeliosNode::CommitPending(const TxnId& id) {
   // The whole state transition — apply, finished record, bookkeeping — is
   // atomic at decision time so no request can observe a committed-but-
   // invisible transaction. The client hears at once, as on every other
-  // commit path; the storage I/O is charged to the service queue, so it
-  // still occupies the server and every later request queues behind it.
+  // commit path; the storage I/O still occupies the server, but as
+  // deferred work that later requests overtake.
   const Timestamp version_ts = DependencyBumpedVersionTs(*body);
   store_.ApplyTxn(*body, version_ts);
   CheckAppend(id_, AppendFinished(body, /*committed=*/true, version_ts));
@@ -889,8 +887,7 @@ void HeliosNode::CommitPending(const TxnId& id) {
   if (history_ != nullptr) {
     history_->RecordCommit(CommittedTxn{body->id, id_, version_ts, body});
   }
-  service_queue_.Charge(config_.service.write_apply *
-                        static_cast<Duration>(body->write_set.size()));
+  DeferApplyIo(*body);
   reply(CommitOutcome{body->id, true, ""});
 }
 
@@ -1024,6 +1021,12 @@ Timestamp HeliosNode::NextRecordTs() const {
   // timestamp, and every peer would refuse it.
   return std::max(log_.KnownUpTo(id_) + 1,
                   clock_->Now() - config_.log_interval);
+}
+
+void HeliosNode::DeferApplyIo(const TxnBody& body) {
+  for (size_t i = 0; i < body.write_set.size(); ++i) {
+    service_queue_.Defer(config_.service.write_apply);
+  }
 }
 
 Status HeliosNode::AppendOwn(const rdict::LogRecord& rec) {

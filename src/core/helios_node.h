@@ -548,10 +548,15 @@ class HeliosNode {
 
   /// True while an injected process stall is pausing this node.
   bool Stalled() const { return scheduler_->Now() < stalled_until_; }
-  /// Per-record persistence penalty of an active fsync stall (else 0).
+  /// Per-record persistence penalty of an active fsync stall (else 0),
+  /// charged once per record appended or ingested.
   Duration FsyncPenalty() const {
     return scheduler_->Now() < fsync_stall_until_ ? fsync_penalty_ : 0;
   }
+  /// Queues the storage I/O of installing `body`'s writes, one deferred
+  /// write_apply per write. The store changes state at the decision, so
+  /// the I/O only occupies the server, in its idle time.
+  void DeferApplyIo(const TxnBody& body);
 
   void SendCatchupRequests();
   void FinishCatchup();

@@ -2,8 +2,9 @@
 // detection (the Figure 2 scenarios), Rule 1's integer edge,
 // serializability under contention and clock skew, liveness under
 // datacenter outages (Rule 3), replica convergence, read-only
-// transactions, the reply point of a commit, and the timestamps records
-// take in a node's log.
+// transactions, the reply point of a commit and what its apply I/O and an
+// fsync stall cost the server, and the timestamps records take in a
+// node's log.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "sim/service_queue.h"
 #include "workload/client.h"
 #include "workload/tycsb.h"
 
@@ -641,49 +643,159 @@ TEST(HeliosReplyTest, ClientHearsOneClientLinkAfterTheDecision) {
   EXPECT_GT(aborted, 0u);  // Contention must actually occur.
 }
 
-TEST(HeliosReplyTest, ApplyIoStillOccupiesTheServerAfterTheReply) {
-  // Eight writes: the apply I/O (8 x write_apply) outlasts the client's
-  // reply plus a follow-up read's trip back to the origin (two links).
-  const HeliosConfig cfg = BaseConfig(2);
+// One eight-write commit at DC 0 of a two-DC rig, with a read of one of
+// its keys sent straight back to the origin when the client hears. A
+// positive `fsync_penalty` holds both nodes in an fsync stall throughout.
+struct ApplyIoRun {
+  CommitResult commit;
+  sim::SimTime heard = -1;
+  sim::SimTime read_done = -1;
+  sim::SimTime decision = -1;  // End of the commit's txn.server span.
+  Duration busy[2] = {0, 0};   // Each node's service_queue().total_busy().
+};
+
+ApplyIoRun RunEightWriteCommitThenRead(const HeliosConfig& cfg,
+                                       Duration fsync_penalty = 0) {
+  ApplyIoRun run;
   auto rig = MakeUniformRig(2, Millis(20), cfg);
   obs::TraceRecorder trace;
   rig->cluster->SetObservability(&trace, nullptr);
   rig->cluster->Start();
+  for (DcId dc = 0; dc < 2; ++dc) {
+    rig->cluster->InjectFsyncStall(dc, fsync_penalty, Seconds(1));
+  }
   std::vector<WriteEntry> writes;
   for (int k = 0; k < 8; ++k) writes.push_back({"k" + std::to_string(k), "v"});
-  const Duration apply = cfg.service.write_apply * 8;
-  const Duration link = cfg.client_link_one_way;
-  ASSERT_GT(apply, 2 * link);
-
-  CommitResult commit;
-  sim::SimTime heard = -1;
-  sim::SimTime read_done = -1;
   rig->scheduler.At(Millis(10), [&] {
     rig->cluster->ClientCommit(0, {}, writes, [&](const CommitOutcome& o) {
-      commit.outcome = o;
-      commit.done = true;
-      heard = rig->scheduler.Now();
+      run.commit.outcome = o;
+      run.commit.done = true;
+      run.heard = rig->scheduler.Now();
       // Straight back to the origin: arrives one link later.
       rig->cluster->ClientRead(0, "k0", [&](Result<VersionedValue> r) {
-        ASSERT_TRUE(r.ok());
-        read_done = rig->scheduler.Now();
+        EXPECT_TRUE(r.ok());
+        run.read_done = rig->scheduler.Now();
       });
     });
   });
   rig->scheduler.RunUntil(Seconds(1));
-  ASSERT_TRUE(commit.done && commit.outcome.committed);
-  ASSERT_GE(read_done, 0);
-  sim::SimTime decision = -1;  // End of the commit's txn.server span.
   for (const obs::TraceEvent& e : trace.Events()) {
-    if (e.kind == obs::EventKind::kTxnServer && e.txn == commit.outcome.id) {
-      decision = e.ts_us + e.dur_us;
+    if (e.kind == obs::EventKind::kTxnServer &&
+        e.txn == run.commit.outcome.id) {
+      run.decision = e.ts_us + e.dur_us;
     }
   }
-  ASSERT_GE(decision, 0);
+  for (DcId dc = 0; dc < 2; ++dc) {
+    run.busy[dc] = rig->cluster->node(dc).service_queue().total_busy();
+  }
+  return run;
+}
+
+TEST(HeliosReplyTest, ApplyIoStillOccupiesTheServerAfterTheReply) {
+  // Eight writes: the apply I/O (8 x write_apply) outlasts the client's
+  // reply plus a follow-up read's trip back to the origin (two links).
+  const HeliosConfig cfg = BaseConfig(2);
+  const Duration apply = cfg.service.write_apply * 8;
+  const Duration link = cfg.client_link_one_way;
+  ASSERT_GT(apply, 2 * link);
+
+  const ApplyIoRun run = RunEightWriteCommitThenRead(cfg);
+  ASSERT_TRUE(run.commit.done && run.commit.outcome.committed);
+  ASSERT_GE(run.read_done, 0);
+  ASSERT_GE(run.decision, 0);
   // The read reached the origin before the apply I/O was done ...
-  EXPECT_LT(heard + link, decision + apply);
-  // ... and was served only after it, then crossed the client link.
-  EXPECT_GE(read_done, decision + apply + link);
+  const sim::SimTime arrived = run.heard + link;
+  EXPECT_LT(arrived, run.decision + apply);
+  // ... and waited at most for the one write in service, not for the
+  // rest: the I/O is deferred work that foreground requests overtake.
+  EXPECT_LE(run.read_done,
+            arrived + cfg.service.write_apply + cfg.service.read + link);
+
+  // Every write is still paid for, at the origin and at the peer: the
+  // same run without apply I/O is busy exactly eight writes less.
+  HeliosConfig no_io = cfg;
+  no_io.service.write_apply = 0;
+  const ApplyIoRun free = RunEightWriteCommitThenRead(no_io);
+  ASSERT_TRUE(free.commit.done && free.commit.outcome.committed);
+  for (DcId dc = 0; dc < 2; ++dc) {
+    EXPECT_EQ(run.busy[dc] - free.busy[dc], apply) << "dc " << dc;
+  }
+}
+
+TEST(HeliosReplyTest, SaturatedServerStillPaysForEveryWrite) {
+  // Far past the knee: 80 closed-loop clients per datacenter want more
+  // apply I/O than a server can do. Past sim::ServiceQueue's deferred cap
+  // the I/O is served as it arrives, so the unpaid I/O stays bounded and
+  // throughput stays what the servers can actually sustain.
+  const int n = 3;
+  const HeliosConfig cfg = BaseConfig(n);
+  auto rig = MakeUniformRig(n, Millis(40), cfg);
+  rig->cluster->Start();
+  const sim::SimTime stop = Seconds(2);
+  std::vector<std::unique_ptr<workload::ClosedLoopClient>> clients;
+  for (DcId dc = 0; dc < n; ++dc) {
+    for (int c = 0; c < 80; ++c) {
+      const uint64_t id = clients.size();
+      clients.push_back(std::make_unique<workload::ClosedLoopClient>(
+          id, dc, rig->cluster.get(), &rig->scheduler,
+          workload::WorkloadConfig{}, /*seed=*/11 + id, 0, stop, stop));
+      clients.back()->Start();
+    }
+  }
+  // Apply I/O owed for every committed write the datacenter has applied.
+  const auto owed = [&](DcId dc) {
+    Duration io = 0;
+    for (const rdict::LogRecord& r : rig->cluster->wal(dc).contents().records) {
+      if (r.type == rdict::RecordType::kFinished && r.committed) {
+        io += cfg.service.write_apply *
+              static_cast<Duration>(r.body->write_set.size());
+      }
+    }
+    return io;
+  };
+  const Duration cap = sim::ServiceQueue::kDeferredCap;
+  std::vector<Duration> fullest(static_cast<size_t>(n), 0);
+  for (sim::SimTime t = Millis(250); t <= stop; t += Millis(250)) {
+    rig->scheduler.RunUntil(t);
+    for (DcId dc = 0; dc < n; ++dc) {
+      EXPECT_LE(owed(dc), t + cap) << "dc " << dc << " at " << t;
+      fullest[static_cast<size_t>(dc)] =
+          std::max(fullest[static_cast<size_t>(dc)],
+                   rig->cluster->node(dc).service_queue().deferred_backlog());
+    }
+  }
+  for (DcId dc = 0; dc < n; ++dc) {
+    // Saturated: the deferred class filled up, so the cap is what bound.
+    EXPECT_GT(fullest[static_cast<size_t>(dc)], cap - cfg.service.write_apply)
+        << "dc " << dc;
+  }
+  // Clients stopped: once the foreground drains, the server has done no
+  // more work than there was time for, deferred units included.
+  const sim::SimTime end = stop + Millis(500);
+  rig->scheduler.RunUntil(end);
+  for (DcId dc = 0; dc < n; ++dc) {
+    const sim::ServiceQueue& q = rig->cluster->node(dc).service_queue();
+    EXPECT_LE(owed(dc), end + cap) << "dc " << dc;
+    EXPECT_LE(q.total_busy(), end) << "dc " << dc;
+    EXPECT_EQ(q.deferred_backlog(), 0) << "dc " << dc;
+  }
+  uint64_t committed = 0;
+  for (const auto& client : clients) committed += client->metrics().committed;
+  EXPECT_GT(committed, 1000u);
+}
+
+TEST(HeliosFsyncStallTest, PenaltyIsChargedOncePerRecordPersisted) {
+  // Each node persists the commit's preparing and finished records, by
+  // appending them at the origin and ingesting them at the peer. Applying
+  // the eight writes persists nothing more, so it adds no penalty.
+  const HeliosConfig cfg = BaseConfig(2);
+  const Duration penalty = Millis(1);
+  const ApplyIoRun calm = RunEightWriteCommitThenRead(cfg);
+  const ApplyIoRun stalled = RunEightWriteCommitThenRead(cfg, penalty);
+  ASSERT_TRUE(stalled.commit.done && stalled.commit.outcome.committed);
+  for (DcId dc = 0; dc < 2; ++dc) {
+    EXPECT_EQ(stalled.busy[dc] - calm.busy[dc], 2 * penalty) << "dc " << dc;
+  }
 }
 
 // Records take the first instant not yet promised to peers, so the append

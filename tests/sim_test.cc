@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/clock.h"
@@ -278,6 +279,130 @@ TEST(ServiceQueueTest, BacklogReflectsQueuedWork) {
     EXPECT_EQ(q.backlog(), 0);
     q.Charge(Millis(30));
     EXPECT_EQ(q.backlog(), Millis(30));
+  });
+  s.Run();
+}
+
+TEST(ServiceQueueTest, ForegroundOvertakesQueuedDeferredUnits) {
+  Scheduler s;
+  ServiceQueue q(&s);
+  SimTime done = -1;
+  s.At(0, [&] {
+    q.Charge(Millis(10));
+    q.Defer(Millis(5));
+    q.Defer(Millis(5));
+    q.Submit(Millis(1), [&] { done = s.Now(); });
+  });
+  s.Run();
+  EXPECT_EQ(done, Millis(11));
+  // The deferred units ran after it, back to back.
+  s.At(Millis(30), [&] { EXPECT_EQ(q.total_busy(), Millis(21)); });
+  s.Run();
+}
+
+TEST(ServiceQueueTest, DeferredUnitInServiceIsNotPreempted) {
+  Scheduler s;
+  ServiceQueue q(&s);
+  SimTime done = -1;
+  s.At(0, [&] {
+    for (int i = 0; i < 3; ++i) q.Defer(Millis(10));
+  });
+  // Arrives 3 ms into the first unit: waits for it, not for the others.
+  s.At(Millis(3), [&] {
+    q.Submit(Millis(1), [&] { done = s.Now(); });
+  });
+  s.Run();
+  EXPECT_EQ(done, Millis(11));
+}
+
+TEST(ServiceQueueTest, DeferredUnitStartsTheInstantTheServerFallsIdle) {
+  Scheduler s;
+  ServiceQueue q(&s);
+  SimTime tie = -1;
+  SimTime later = -1;
+  s.At(0, [&] {
+    q.Charge(Millis(10));
+    q.Defer(Millis(5));
+  });
+  // Foreground work arriving at the idle instant itself goes first ...
+  s.At(Millis(10), [&] {
+    EXPECT_EQ(q.backlog(), 0);
+    q.Submit(Millis(1), [&] { tie = s.Now(); });
+  });
+  // ... and the deferred unit takes the server the moment it is free.
+  s.At(Millis(12), [&] {
+    EXPECT_EQ(q.backlog(), Millis(4));
+    q.Submit(Millis(1), [&] { later = s.Now(); });
+  });
+  s.Run();
+  EXPECT_EQ(tie, Millis(11));
+  EXPECT_EQ(later, Millis(17));
+}
+
+TEST(ServiceQueueTest, PastTheCapUnitsAreServedInArrivalOrder) {
+  Scheduler s;
+  ServiceQueue q(&s);
+  SimTime done = -1;
+  s.At(0, [&] {
+    q.Charge(Millis(1));
+    const Duration unit = ServiceQueue::kDeferredCap / 4;
+    for (int i = 0; i < 4; ++i) q.Defer(unit);  // Exactly at the cap.
+    EXPECT_EQ(q.backlog(), Millis(1));
+    q.Defer(unit);  // Over it: queued like Charge.
+    EXPECT_EQ(q.backlog(), Millis(1) + unit);
+    q.Submit(Millis(1), [&] { done = s.Now(); });
+    EXPECT_EQ(q.deferred_backlog(), ServiceQueue::kDeferredCap);
+  });
+  s.Run();
+  EXPECT_EQ(done, Millis(2) + ServiceQueue::kDeferredCap / 4);
+}
+
+TEST(ServiceQueueTest, DeferredBacklogNeverExceedsTheCap) {
+  Scheduler s;
+  ServiceQueue q(&s);
+  Duration deferred = 0;
+  Duration max_backlog = 0;
+  // Foreground work keeps the server busy 90% of each 1 ms while 7 ms of
+  // deferred work arrives every 10 ms: far past what idle time drains.
+  for (int step = 0; step < 2000; ++step) {
+    s.At(Millis(step), [&, step] {
+      q.Charge(Micros(900));
+      if (step % 10 == 0) {
+        q.Defer(Millis(7));
+        deferred += Millis(7);
+      }
+      max_backlog = std::max(max_backlog, q.deferred_backlog());
+      EXPECT_LE(q.deferred_backlog(), ServiceQueue::kDeferredCap);
+    });
+  }
+  s.Run();
+  EXPECT_GT(max_backlog, ServiceQueue::kDeferredCap - Millis(7));
+  // No unit is lost: what is not still waiting has been served.
+  s.At(Seconds(10), [&] {
+    EXPECT_EQ(q.deferred_backlog(), 0);
+    EXPECT_EQ(q.total_busy(), 2000 * Micros(900) + deferred);
+  });
+  s.Run();
+}
+
+TEST(ServiceQueueTest, AccessorsCountUnitsThatRanWhileIdle) {
+  Scheduler s;
+  ServiceQueue q(&s);
+  s.At(0, [&] {
+    for (int i = 0; i < 3; ++i) q.Defer(Millis(5));
+    EXPECT_EQ(q.total_busy(), 0);
+    EXPECT_EQ(q.deferred_backlog(), Millis(15));
+  });
+  // No queue call since t = 0: the first unit ran and the second is in
+  // service, so a foreground arrival would wait out its last 3 ms.
+  s.At(Millis(7), [&] {
+    EXPECT_EQ(q.total_busy(), Millis(10));
+    EXPECT_EQ(q.backlog(), Millis(3));
+    EXPECT_EQ(q.deferred_backlog(), Millis(5));
+  });
+  s.At(Millis(20), [&] {
+    EXPECT_EQ(q.total_busy(), Millis(15));
+    EXPECT_EQ(q.backlog(), 0);
   });
   s.Run();
 }
