@@ -5,8 +5,10 @@
 // latencies.
 //
 // Also prints the Lemma 1 check: for every pair of datacenters the sum of
-// measured Helios commit latencies must be at least the RTT between them
-// (it exceeds it by the compute/network overheads).
+// measured Helios commit latencies must be at least the shortest-path RTT
+// between them. The timetables relay knowledge through third datacenters
+// and Table 2 breaks the triangle inequality, so a correct protocol may
+// beat a pair's direct RTT; such pairs are listed as relayed.
 
 #include <cstdio>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "harness/experiment.h"
+#include "lp/mao.h"
 
 int main(int argc, char** argv) {
   using helios::TablePrinter;
@@ -93,24 +96,35 @@ int main(int argc, char** argv) {
   bench::PrintHeading("Lemma 1 check on measured Helios-0 latencies");
   {
     const auto& h0 = results.front();
+    const helios::lp::RttMatrix closure =
+        helios::lp::MetricClosure(topo.rtt_ms);
     bool ok = true;
     for (int a = 0; a < n; ++a) {
       for (int b = a + 1; b < n; ++b) {
         const double sum = h0.per_dc[a].latency_mean_ms +
                            h0.per_dc[b].latency_mean_ms;
         const double rtt = topo.rtt_ms.Get(a, b);
-        if (sum < rtt) {
+        const double shortest = closure.Get(a, b);
+        if (sum < shortest) {
           ok = false;
-          std::printf("VIOLATION: L(%s)+L(%s) = %.1f < RTT %.1f\n",
-                      topo.names[a].c_str(), topo.names[b].c_str(), sum, rtt);
+          std::printf(
+              "VIOLATION: L(%s)+L(%s) = %.1f < shortest-path RTT %.1f\n",
+              topo.names[a].c_str(), topo.names[b].c_str(), sum, shortest);
+        } else if (sum < rtt) {
+          std::printf(
+              "relayed: L(%s)+L(%s) = %.1f < direct RTT %.1f (shortest "
+              "path %.1f)\n",
+              topo.names[a].c_str(), topo.names[b].c_str(), sum, rtt,
+              shortest);
         }
       }
     }
     if (ok) {
       std::printf(
-          "OK: L_a + L_b >= RTT(a, b) for all 10 datacenter pairs (the "
-          "measured\nlatencies respect the lower bound, as Lemma 1 "
-          "requires of any correct protocol).\n");
+          "OK: L_a + L_b >= shortest-path RTT(a, b) for all %d datacenter "
+          "pairs (the\nmeasured latencies respect Lemma 1 over the relayed "
+          "knowledge paths).\n",
+          n * (n - 1) / 2);
     }
   }
 

@@ -158,20 +158,29 @@ class ProtocolCluster {
   // --- Checker observation points (src/check) ------------------------------
   //
   // Read-only end-of-run surfaces the invariant oracles inspect: the
-  // per-datacenter durable journal, the latest version of every key in the
-  // replica's store, the down flag, and the accumulated recovery totals.
-  // Defaults are "nothing to observe" so deployments without the surfaces
-  // (e.g. the live transport cluster) need no changes.
+  // durable journal of every (datacenter, shard) replica, the latest
+  // version of every key in a datacenter's store, the down flag, and the
+  // accumulated recovery totals. Defaults are "nothing to observe" so
+  // deployments without the surfaces (e.g. the live transport cluster)
+  // need no changes.
 
-  /// Datacenter `dc`'s durable in-memory WAL journal, or null when the
-  /// deployment has none. The journal outlives crashes, so it is valid
-  /// even for a datacenter that is down at the end of the run.
-  virtual const wal::MemoryWal* wal_journal(DcId /*dc*/) const {
+  /// Number of shards the keyspace is split into; every datacenter runs
+  /// one replica per shard. Default: 1 (an unsharded deployment).
+  virtual int num_shards() const { return 1; }
+
+  /// The durable in-memory WAL journal of datacenter `dc`'s replica of
+  /// shard `shard` (in [0, num_shards())), or null when the deployment has
+  /// none. A shard's journal carries only that shard's traffic. The
+  /// journal outlives crashes, so it is valid even for a datacenter that
+  /// is down at the end of the run.
+  virtual const wal::MemoryWal* wal_journal(DcId /*dc*/,
+                                            int /*shard*/) const {
     return nullptr;
   }
 
-  /// Visits the latest installed version of every key in `dc`'s store.
-  /// Default: no-op (no store surface).
+  /// Visits the latest installed version of every key in `dc`'s stores
+  /// (one per shard; their key sets are disjoint). Default: no-op (no
+  /// store surface).
   virtual void SnapshotStore(
       DcId /*dc*/,
       const std::function<void(const Key&, const VersionedValue&)>& /*fn*/)

@@ -71,8 +71,9 @@ class ReplicaCluster : public ProtocolCluster {
   void SetDatacenterDown(DcId dc, bool down) override;
   bool datacenter_down(DcId dc) const override { return state(dc).down; }
 
-  // Checker observation points (src/check).
-  const wal::MemoryWal* wal_journal(DcId dc) const override {
+  // Checker observation points (src/check). One shard: the replica holds
+  // the whole keyspace.
+  const wal::MemoryWal* wal_journal(DcId dc, int /*shard*/) const override {
     return wals_[static_cast<size_t>(dc)].get();
   }
   void SnapshotStore(

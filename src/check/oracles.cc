@@ -170,9 +170,9 @@ Status CheckShardAtomicityOracle(const ExperimentResult& result) {
   for (int dc = 0; dc < n; ++dc) {
     std::unordered_map<TxnId, ShardOutcome, TxnIdHash> outcomes;
     for (int s = 0; s < cap->shards; ++s) {
-      const size_t j = static_cast<size_t>(dc * cap->shards + s);
-      if (j >= cap->shard_wals.size() || !cap->shard_wal_present[j]) continue;
-      for (const rdict::LogRecord& r : cap->shard_wals[j].records) {
+      const wal::WalContents* journal = cap->Journal(dc, s);
+      if (journal == nullptr) continue;
+      for (const rdict::LogRecord& r : journal->records) {
         if (r.type != rdict::RecordType::kFinished || r.body == nullptr) {
           continue;
         }
@@ -218,9 +218,9 @@ Status CheckStagedResolutionOracle(const ExperimentResult& result) {
   const int n = static_cast<int>(cap->stores.size());
   for (int dc = 0; dc < n; ++dc) {
     for (int s = 0; s < cap->shards; ++s) {
-      const size_t j = static_cast<size_t>(dc * cap->shards + s);
-      if (j >= cap->shard_wals.size() || !cap->shard_wal_present[j]) continue;
-      for (const rdict::LogRecord& r : cap->shard_wals[j].records) {
+      const wal::WalContents* journal = cap->Journal(dc, s);
+      if (journal == nullptr) continue;
+      for (const rdict::LogRecord& r : journal->records) {
         if (r.type != rdict::RecordType::kFinished || r.body == nullptr) {
           continue;
         }
@@ -310,19 +310,13 @@ bool IsCommittedFinished(const rdict::LogRecord& r) {
          r.body != nullptr;
 }
 
-/// The durable journals of one datacenter: the flat per-DC journal for
-/// unsharded captures, or the datacenter's per-shard journals (indexed
-/// dc * shards + s) for sharded ones. Exactly one of the two sources is
-/// populated per capture, so no journal is ever double-counted.
+/// The durable journals of one datacenter, one per shard.
 std::vector<const wal::WalContents*> JournalsFor(const RunCapture& cap,
                                                  int dc) {
   std::vector<const wal::WalContents*> out;
-  const size_t i = static_cast<size_t>(dc);
-  if (i < cap.wals.size() && cap.wal_present[i]) out.push_back(&cap.wals[i]);
   for (int s = 0; s < cap.shards; ++s) {
-    const size_t j = static_cast<size_t>(dc * cap.shards + s);
-    if (j < cap.shard_wals.size() && cap.shard_wal_present[j]) {
-      out.push_back(&cap.shard_wals[j]);
+    if (const wal::WalContents* journal = cap.Journal(dc, s)) {
+      out.push_back(journal);
     }
   }
   return out;
@@ -341,7 +335,7 @@ Status CheckExactlyOnceOracle(const ExperimentSpec& spec,
   // datacenter: a cross-shard transaction legitimately has one committed
   // slice record in each participating shard's journal, always with the
   // same version_ts — which the cross-journal agreement check enforces.
-  const int n = static_cast<int>(cap->wals.size());
+  const int n = static_cast<int>(cap->stores.size());
   std::vector<std::vector<const wal::WalContents*>> journals(
       static_cast<size_t>(n));
   std::vector<std::unordered_set<TxnId, TxnIdHash>> journaled(
@@ -422,7 +416,7 @@ Status CheckWalReplayOracle(const ExperimentResult& result) {
   if (cap == nullptr) {
     return Status::FailedPrecondition("no captured WAL journals");
   }
-  const int n = static_cast<int>(cap->wals.size());
+  const int n = static_cast<int>(cap->stores.size());
   for (int dc = 0; dc < n; ++dc) {
     const size_t i = static_cast<size_t>(dc);
     const std::vector<const wal::WalContents*> journals =

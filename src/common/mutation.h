@@ -20,8 +20,8 @@ enum class Mutation {
   /// condition 1), so transactions commit before learning about
   /// concurrent conflicting remote transactions.
   kSkipCommitWait,
-  /// ShardedCluster's recovery resolver skips the durable status lookup
-  /// and re-finalizes every staged intent as committed.
+  /// HeliosCluster's cross-shard recovery resolver skips the durable
+  /// status lookup and re-finalizes every staged intent as committed.
   kSkipStagedResolution,
 };
 

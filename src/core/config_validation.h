@@ -3,7 +3,7 @@
 // Misconfigured commit offsets are the one thing that can silently break
 // Helios's safety (Rule 1 is the correctness condition), so a production
 // deployment should validate its HeliosConfig before starting nodes.
-// HeliosCluster construction asserts the basics; this function returns
+// HeliosCluster construction checks the basics; this function returns
 // descriptive errors for operator-facing tooling.
 
 #ifndef HELIOS_CORE_CONFIG_VALIDATION_H_

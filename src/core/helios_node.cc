@@ -1,11 +1,10 @@
 #include "core/helios_node.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "common/mutation.h"
 
 namespace helios::core {
@@ -21,17 +20,6 @@ constexpr DcId kLoaderOrigin = -2;
 /// peer while any datacenter is suspected.
 constexpr Duration kHedgeInterval = Millis(100);
 
-/// Stops the process on a rejected own append. The log rejects only a
-/// foreign origin or a non-increasing timestamp — both bugs — and going on
-/// would let the WAL journal a record the log never took, so this holds in
-/// every build, not just under assert.
-void CheckAppend(DcId id, const Status& append) {
-  if (append.ok()) return;
-  std::fprintf(stderr, "HeliosNode(dc%d): local append failed: %s\n", id,
-               append.ToString().c_str());
-  std::abort();
-}
-
 }  // namespace
 
 HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
@@ -45,10 +33,13 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
       send_(std::move(send)),
       service_queue_(scheduler),
       log_(id, config.num_datacenters) {
-  assert(id >= 0 && id < config.num_datacenters);
+  HELIOS_CHECK(id >= 0 && id < config.num_datacenters,
+               "node id " + std::to_string(id) + " outside " +
+                   std::to_string(config.num_datacenters) + " datacenters");
   next_txn_seq_ = config_.txn_seq_start;
-  assert(kind_ != LogProtocolKind::kMessageFutures ||
-         config_.fault_tolerance == 0);
+  HELIOS_CHECK(kind_ != LogProtocolKind::kMessageFutures ||
+                   config_.fault_tolerance == 0,
+               "Message Futures runs with f = 0");
   if (config_.estimate_rtts) {
     rtt_estimator_ =
         std::make_unique<RttEstimator>(id_, config_.num_datacenters);
@@ -65,7 +56,9 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
 }
 
 void HeliosNode::SetCommitOffsetRow(std::vector<Duration> row) {
-  assert(static_cast<int>(row.size()) == config_.num_datacenters);
+  HELIOS_CHECK(static_cast<int>(row.size()) == config_.num_datacenters,
+               "offset row of " + std::to_string(row.size()) + " entries for " +
+                   std::to_string(config_.num_datacenters) + " datacenters");
   offset_row_override_ = std::move(row);
 }
 
@@ -474,7 +467,8 @@ bool HeliosNode::AdmitPreparing(const TxnId& id, const TxnBodyPtr& body,
   rec.ts = q;
   rec.origin = id_;
   rec.body = body;
-  CheckAppend(id_, AppendOwn(rec));
+  const Status append = AppendOwn(rec);
+  HELIOS_CHECK(append.ok(), append.ToString());
   if (trace_ != nullptr) {
     trace_->Instant(obs::EventKind::kTxnAppend, id_, id, scheduler_->Now());
   }
@@ -779,10 +773,9 @@ void HeliosNode::RecordDecisionTrace(const TxnId& id, bool committed,
 
 HeliosNode::PendingMap::iterator HeliosNode::FindPending(const TxnId& id) {
   auto it = pending_.find(id);
-  if (it != pending_.end()) return it;
-  std::fprintf(stderr, "HeliosNode(dc%d): txn %s is not pending\n", id_,
-               id.ToString().c_str());
-  std::abort();
+  HELIOS_CHECK(it != pending_.end(), "dc" + std::to_string(id_) + ": txn " +
+                                         id.ToString() + " is not pending");
+  return it;
 }
 
 void HeliosNode::FinishTxn(const TxnId& id) {
@@ -852,8 +845,9 @@ void HeliosNode::ProcessFinalizeStaged(const TxnId& id, bool commit,
   } else {
     ++counters_.staged_aborts;
   }
-  CheckAppend(id_, AppendFinished(hold.body, commit,
-                                  commit ? commit_ts : kMinTimestamp));
+  const Status append =
+      AppendFinished(hold.body, commit, commit ? commit_ts : kMinTimestamp);
+  HELIOS_CHECK(append.ok(), append.ToString());
   // No history recording here: the coordinator records the whole
   // cross-shard transaction once, with the full body, at decision time.
   RecordDecisionTrace(id, commit, commit ? std::string() : "xshard:abort",
@@ -881,7 +875,8 @@ void HeliosNode::CommitPending(const TxnId& id) {
   // deferred work that later requests overtake.
   const Timestamp version_ts = DependencyBumpedVersionTs(*body);
   store_.ApplyTxn(*body, version_ts);
-  CheckAppend(id_, AppendFinished(body, /*committed=*/true, version_ts));
+  const Status append = AppendFinished(body, /*committed=*/true, version_ts);
+  HELIOS_CHECK(append.ok(), append.ToString());
 
   ++counters_.commits;
   if (history_ != nullptr) {
@@ -901,7 +896,9 @@ void HeliosNode::AbortPending(const TxnId& id, const std::string& reason,
   RecordDecisionTrace(id, /*committed=*/false, reason,
                       it->second.arrived_sim, it->second.processed_sim);
   FinishTxn(id);
-  CheckAppend(id_, AppendFinished(body, /*committed=*/false, kMinTimestamp));
+  const Status append =
+      AppendFinished(body, /*committed=*/false, kMinTimestamp);
+  HELIOS_CHECK(append.ok(), append.ToString());
 
   if (staged) {
     // A pre-prepare slice may still abort unilaterally (the coordinator
@@ -959,16 +956,13 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
   // covers every timestamp this node itself persisted, and T[self][self]
   // covers the restart clock (peers' timestamps come from their clocks
   // and do not constrain ours).
-  if (clock_->floor() < max_own_ts || log_.KnownUpTo(id_) < clock_->Now()) {
-    std::fprintf(stderr,
-                 "HeliosNode(dc%d): restored timestamps out of order: "
-                 "floor %lld, own max %lld, T[self][self] %lld, clock %lld\n",
-                 id_, static_cast<long long>(clock_->floor()),
-                 static_cast<long long>(max_own_ts),
-                 static_cast<long long>(log_.KnownUpTo(id_)),
-                 static_cast<long long>(clock_->Now()));
-    std::abort();
-  }
+  HELIOS_CHECK(clock_->floor() >= max_own_ts &&
+                   log_.KnownUpTo(id_) >= clock_->Now(),
+               "dc" + std::to_string(id_) + ": restored timestamps out of " +
+                   "order: floor " + std::to_string(clock_->floor()) +
+                   ", own max " + std::to_string(max_own_ts) +
+                   ", T[self][self] " + std::to_string(log_.KnownUpTo(id_)) +
+                   ", clock " + std::to_string(clock_->Now()));
 
   // Pass 2: transactions still preparing. Remote ones re-enter the
   // EPTPool (their decisions will arrive through the log exchange). Our
@@ -1232,7 +1226,9 @@ double HeliosNode::HealthPhi(DcId peer) const {
 
 void HeliosNode::BeginCatchup(
     std::function<void(const RecoveryOutcome&)> done) {
-  assert(!down_ && !recovering_);
+  HELIOS_CHECK(!down_ && !recovering_,
+               "dc" + std::to_string(id_) + ": catch-up on a node that is " +
+                   (down_ ? "down" : "already recovering"));
   recovering_ = true;
   recover_started_sim_ = scheduler_->Now();
   catchup_done_ = std::move(done);

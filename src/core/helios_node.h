@@ -127,14 +127,15 @@ struct RecoveryOutcome {
 
 // --- Cross-shard parallel commit (src/shard) --------------------------------
 //
-// A cross-shard transaction is driven by a per-datacenter coordinator
-// (shard::ShardedCluster): it splits the read/write sets by shard, injects
-// one globally unique TxnId, and asks every participant shard's node to
-// *stage* its slice. Staging runs the full Algorithm 1 admission and commit
-// wait; instead of committing at decision time the node holds the prepared
-// intent (it keeps blocking conflicting admissions) and acks the
-// coordinator, which finalizes everywhere once all shards prepared —
-// CockroachDB's parallel-commit shape on top of the Helios wait.
+// A cross-shard transaction is driven by a per-datacenter coordinator (a
+// HeliosCluster with several shards): it splits the read/write sets by
+// shard, injects one globally unique TxnId, and asks every participant
+// shard's node to *stage* its slice. Staging runs the full Algorithm 1
+// admission and commit wait; instead of committing at decision time the
+// node holds the prepared intent (it keeps blocking conflicting
+// admissions) and acks the coordinator, which finalizes everywhere once
+// all shards prepared — CockroachDB's parallel-commit shape on top of the
+// Helios wait.
 
 /// Immediate answer to HandleStagedCommit: did Algorithm 1 admit the
 /// slice, and at which request timestamp. The coordinator collects every
@@ -489,8 +490,7 @@ class HeliosNode {
   void CommitPending(const TxnId& id);
   void FinishTxn(const TxnId& id);  // Shared pending-bookkeeping removal.
   /// `pending_` entry of a transaction the caller knows is pending. A miss
-  /// is a bug; it prints the id and aborts in every build, not just under
-  /// assert.
+  /// is a bug, and a HELIOS_CHECK stops the process in every build.
   PendingMap::iterator FindPending(const TxnId& id);
 
   /// The one append path for records this node originates: appends `rec`

@@ -1,6 +1,8 @@
 #include "core/rtt_estimator.h"
 
-#include <cassert>
+#include <string>
+
+#include "common/check.h"
 
 namespace helios::core {
 
@@ -11,7 +13,9 @@ RttEstimator::RttEstimator(DcId self, int n, double alpha)
       peers_(static_cast<size_t>(n)),
       rows_(static_cast<size_t>(n),
             std::vector<Duration>(static_cast<size_t>(n), 0)) {
-  assert(self >= 0 && self < n);
+  HELIOS_CHECK(self >= 0 && self < n, "estimator for dc" +
+                                           std::to_string(self) + " of " +
+                                           std::to_string(n));
 }
 
 void RttEstimator::StampOutgoing(DcId peer, Timestamp now, Envelope* env) {

@@ -5,12 +5,12 @@
 #include <memory>
 
 #include "baselines/replicated_commit.h"
+#include "common/check.h"
 #include "baselines/two_pc_paxos.h"
 #include "core/helios_cluster.h"
 #include "core/history.h"
 #include "harness/experiment_spec.h"
 #include "shard/shard_map.h"
-#include "shard/sharded_cluster.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 #include "workload/client.h"
@@ -41,7 +41,7 @@ std::vector<std::vector<Duration>> PlanCommitOffsets(
     const Topology& topology, const std::optional<lp::RttMatrix>& estimate) {
   const lp::RttMatrix& rtt = estimate.has_value() ? *estimate : topology.rtt_ms;
   auto mao = lp::SolveMao(rtt);
-  assert(mao.ok());
+  HELIOS_CHECK(mao.ok(), "no MAO plan: " + mao.status().ToString());
   return lp::EvenSplitOffsetsUs(mao.value());
 }
 
@@ -114,13 +114,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   std::unique_ptr<ProtocolCluster> cluster;
   core::HistoryRecorder* history = nullptr;
-  shard::ShardedCluster* sharded = nullptr;
-  const bool want_shards =
-      config.shards > 1 && IsHeliosFamily(config.protocol) &&
-      config.protocol != Protocol::kMessageFutures;
-  assert(config.shards == 1 || want_shards);
+  const core::HeliosCluster* helios = nullptr;
+  assert(config.shards == 1 || (IsHeliosFamily(config.protocol) &&
+                                config.protocol != Protocol::kMessageFutures));
 
   if (IsHeliosFamily(config.protocol)) {
+    const bool mf = config.protocol == Protocol::kMessageFutures;
     core::HeliosConfig hc;
     hc.num_datacenters = n;
     hc.fault_tolerance = FaultTolerance(config.protocol);
@@ -130,33 +129,25 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     hc.service = config.service;
     hc.clock_offsets = config.clock_offsets;
     hc.health = config.health;
-    if (config.protocol != Protocol::kHeliosB &&
-        config.protocol != Protocol::kMessageFutures) {
+    if (config.protocol != Protocol::kHeliosB && !mf) {
       hc.commit_offsets = PlanCommitOffsets(config.topology,
                                             config.rtt_estimate_ms);
     }
-    if (config.protocol == Protocol::kMessageFutures) {
-      cluster = core::MakeMessageFuturesCluster(&scheduler, &network,
-                                                std::move(hc));
-      history = &static_cast<core::HeliosCluster*>(cluster.get())->history();
-    } else if (want_shards) {
-      const shard::ShardMap map =
-          config.shard_by == "range"
-              ? shard::ShardMap::RangeOverWorkloadKeys(
-                    config.shards, config.workload.num_keys)
-              : shard::ShardMap::Hash(config.shards);
-      auto sc = std::make_unique<shard::ShardedCluster>(
-          &scheduler, &network, std::move(hc), map,
-          core::LogProtocolKind::kHelios, ProtocolName(config.protocol));
-      sharded = sc.get();
-      history = &sc->history();
-      cluster = std::move(sc);
-    } else {
-      cluster = std::make_unique<core::HeliosCluster>(
-          &scheduler, &network, std::move(hc), core::LogProtocolKind::kHelios,
-          ProtocolName(config.protocol));
-      history = &static_cast<core::HeliosCluster*>(cluster.get())->history();
+    shard::ShardMap map;
+    if (config.shards > 1) {
+      map = config.shard_by == "range"
+                ? shard::ShardMap::RangeOverWorkloadKeys(
+                      config.shards, config.workload.num_keys)
+                : shard::ShardMap::Hash(config.shards);
     }
+    auto hcluster = std::make_unique<core::HeliosCluster>(
+        &scheduler, &network, std::move(hc),
+        mf ? core::LogProtocolKind::kMessageFutures
+           : core::LogProtocolKind::kHelios,
+        ProtocolName(config.protocol), std::move(map));
+    helios = hcluster.get();
+    history = &hcluster->history();
+    cluster = std::move(hcluster);
   } else {
     baselines::ReplicaConfig rc;
     rc.num_datacenters = n;
@@ -311,15 +302,26 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
         cap->sessions.push_back(*client->session_log());
       }
     }
-    cap->wals.resize(static_cast<size_t>(n));
-    cap->wal_present.assign(static_cast<size_t>(n), false);
+    // perfbench reads the flat per-datacenter journals of an unsharded
+    // run and the (datacenter, shard) ones otherwise.
+    const int shards = cluster->num_shards();
+    cap->shards = shards;
+    std::vector<wal::WalContents>& journals =
+        shards > 1 ? cap->shard_wals : cap->wals;
+    std::vector<bool>& present =
+        shards > 1 ? cap->shard_wal_present : cap->wal_present;
+    journals.resize(static_cast<size_t>(n * shards));
+    present.assign(static_cast<size_t>(n * shards), false);
     cap->stores.resize(static_cast<size_t>(n));
     cap->dc_down.assign(static_cast<size_t>(n), false);
     for (DcId dc = 0; dc < n; ++dc) {
       const size_t i = static_cast<size_t>(dc);
-      if (const wal::MemoryWal* w = cluster->wal_journal(dc)) {
-        cap->wals[i] = w->contents();
-        cap->wal_present[i] = true;
+      for (int s = 0; s < shards; ++s) {
+        const size_t j = static_cast<size_t>(dc * shards + s);
+        if (const wal::MemoryWal* w = cluster->wal_journal(dc, s)) {
+          journals[j] = w->contents();
+          present[j] = true;
+        }
       }
       cluster->SnapshotStore(dc, [&](const Key& key, const VersionedValue& v) {
         cap->stores[i][key] = v;
@@ -327,22 +329,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       cap->dc_down[i] = cluster->datacenter_down(dc);
     }
     cap->recovery = cluster->recovery_snapshot();
-    if (sharded != nullptr) {
-      const int shards = config.shards;
-      cap->shards = shards;
-      cap->shard_wals.resize(static_cast<size_t>(n * shards));
-      cap->shard_wal_present.assign(static_cast<size_t>(n * shards), false);
+    if (shards > 1) {
       cap->txn_status.resize(static_cast<size_t>(n));
       for (DcId dc = 0; dc < n; ++dc) {
-        for (int s = 0; s < shards; ++s) {
-          const size_t i = static_cast<size_t>(dc * shards + s);
-          if (const wal::MemoryWal* w = sharded->shard_wal_journal(dc, s)) {
-            cap->shard_wals[i] = w->contents();
-            cap->shard_wal_present[i] = true;
-          }
-        }
         cap->txn_status[static_cast<size_t>(dc)] =
-            sharded->txn_status(dc).entries();
+            helios->txn_status(dc).entries();
       }
     }
     result.capture = std::move(cap);

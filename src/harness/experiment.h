@@ -141,19 +141,20 @@ struct ExperimentConfig {
 
 /// Everything the invariant oracles (src/check) inspect after a run,
 /// snapshotted before the cluster is torn down. Indexed per datacenter
-/// where applicable.
+/// where applicable; read the durable journals through Journal().
 struct RunCapture {
   std::vector<core::CommittedTxn> history;     ///< Committed transactions.
   std::vector<workload::SessionLog> sessions;  ///< One per client.
-  std::vector<wal::WalContents> wals;          ///< Durable journals.
-  std::vector<bool> wal_present;               ///< wal_journal() != null.
-  /// Latest version of every key in each replica's live store.
+  /// Durable journals of an unsharded run, one per datacenter.
+  std::vector<wal::WalContents> wals;
+  std::vector<bool> wal_present;  ///< wal_journal(dc, 0) != null.
+  /// Latest version of every key in each datacenter's live stores.
   std::vector<std::map<Key, VersionedValue>> stores;
   std::vector<bool> dc_down;  ///< Crashed at end of run.
   RecoveryStats recovery;
 
   // Sharded deployments (src/shard). With shards == 1 everything below
-  // stays empty and the oracles read the flat per-DC fields above.
+  // stays empty and the journals live in `wals` above.
   int shards = 1;
   /// Per-(datacenter, shard) journals, indexed dc * shards + s. A shard's
   /// journal carries only its slice of the traffic; the oracles check
@@ -164,6 +165,19 @@ struct RunCapture {
   /// Per-datacenter durable coordinator status tables (the parallel-commit
   /// STAGED/COMMITTED/ABORTED records), for the staged-resolution oracle.
   std::vector<std::map<TxnId, shard::TxnStatusRecord>> txn_status;
+
+  /// Datacenter `dc`'s journal of shard `s`, whichever of the two fields
+  /// holds it; null when the run captured none.
+  const wal::WalContents* Journal(int dc, int s) const {
+    const std::vector<wal::WalContents>& journals =
+        shards > 1 ? shard_wals : wals;
+    const std::vector<bool>& present =
+        shards > 1 ? shard_wal_present : wal_present;
+    const size_t i = static_cast<size_t>(dc * shards + s);
+    return i < journals.size() && i < present.size() && present[i]
+               ? &journals[i]
+               : nullptr;
+  }
 };
 
 struct DcResult {

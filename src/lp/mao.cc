@@ -61,6 +61,20 @@ bool SatisfiesLowerBound(const RttMatrix& rtt,
   return true;
 }
 
+RttMatrix MetricClosure(const RttMatrix& rtt) {
+  const int n = rtt.size();
+  RttMatrix out = rtt;
+  for (int k = 0; k < n; ++k) {
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (a == k || b == k) continue;
+        out.Set(a, b, std::min(out.Get(a, b), out.Get(a, k) + out.Get(k, b)));
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<std::vector<double>> CommitOffsetsFromLatencies(
     const RttMatrix& rtt, const std::vector<double>& latencies) {
   const int n = rtt.size();

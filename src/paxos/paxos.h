@@ -1,8 +1,9 @@
-// Multi-decree Paxos with a stable-leader lease, used by the paper's
-// comparison baselines: 2PC/Paxos replicates the coordinator's commit log
+// Multi-decree Paxos with a stable-leader lease, used by the 2PC/Paxos
+// comparison baseline, which replicates the coordinator's commit log
 // through it ("the coordinator is assumed to have a lease so that it will
-// not need to go through the leader election phase"), and Replicated
-// Commit's per-transaction accept round reuses the acceptor machinery.
+// not need to go through the leader election phase"). Replicated
+// Commit's accept round is its own majority vote
+// (baselines/replicated_commit.h) and uses none of this code.
 //
 // The implementation is a classic two-phase protocol per slot:
 //   phase 1  Prepare(n) / Promise(n, accepted)   — skipped under the lease

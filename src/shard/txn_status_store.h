@@ -1,9 +1,9 @@
 // Durable per-datacenter transaction-status table for cross-shard commits.
 //
-// The parallel-commit coordinator (ShardedCluster) writes a STAGED entry
-// before fanning a transaction's slices out to the participant shards and
-// upgrades it to COMMITTED/ABORTED at decision time — always *before* the
-// client hears the outcome. The table models the durable disk of the
+// The parallel-commit coordinator of a sharded core::HeliosCluster writes
+// a STAGED entry before fanning a transaction's slices out to the
+// participant shards and upgrades it to COMMITTED/ABORTED at decision
+// time — always *before* the client hears the outcome. The table models the durable disk of the
 // coordinator's datacenter: a node crash destroys the coordinator's
 // volatile state but never this table, so a recovering shard node can ask
 // "what actually happened to this staged transaction I still hold an

@@ -30,7 +30,7 @@
 // `shards` (omitted when 1, the default) declares S independent
 // replication planes: shard k of every datacenter forms its own live
 // Helios cluster (own log, own timetable, own WAL), mirroring the
-// simulator's shard::ShardedCluster layout. One heliosd process serves
+// simulator's sharded core::HeliosCluster. One heliosd process serves
 // one (dc, shard) cell, selected by --dc and --shard; its listen port is
 // PortOf(dc, shard) = datacenters[dc].port + shard * num_datacenters()
 // and its WAL is WalPathFor(dc, shard) (the per-DC path with ".s<k>"

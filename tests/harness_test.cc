@@ -5,32 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "harness/experiment.h"
 #include "harness/topology.h"
 
 namespace helios::harness {
 namespace {
-
-/// Shortest-path RTTs (Floyd-Warshall), the metric closure of `rtt`. The
-/// timetables relay knowledge: A learns what B knows from C's envelope as
-/// soon as from B's own, so knowledge travels the closure's paths. Table 2
-/// breaks the triangle inequality (O-V-I is 150ms against a direct 175ms),
-/// so Lemma 1 binds measured latencies only through the closure.
-lp::RttMatrix MetricClosure(const lp::RttMatrix& rtt) {
-  const int n = rtt.size();
-  lp::RttMatrix out = rtt;
-  for (int k = 0; k < n; ++k) {
-    for (int a = 0; a < n; ++a) {
-      for (int b = a + 1; b < n; ++b) {
-        if (a == k || b == k) continue;
-        out.Set(a, b, std::min(out.Get(a, b), out.Get(a, k) + out.Get(k, b)));
-      }
-    }
-  }
-  return out;
-}
 
 ExperimentConfig SmallConfig(Protocol p) {
   ExperimentConfig cfg;
@@ -169,7 +148,7 @@ TEST(ExperimentTest, HeliosLatencyTracksOptimalShape) {
   // (85.1ms on Table 2, against the paper's 90.6ms): relayed knowledge can
   // bring a datacenter under its own MAO latency.
   const double floor_ms = lp::AverageLatency(
-      lp::SolveMao(MetricClosure(cfg.topology.rtt_ms)).value());
+      lp::SolveMao(lp::MetricClosure(cfg.topology.rtt_ms)).value());
   EXPECT_NEAR(floor_ms, 85.1, 0.05);
   EXPECT_GT(r.avg_latency_ms, floor_ms);
   for (size_t dc = 0; dc < 5; ++dc) {
@@ -188,7 +167,7 @@ TEST(ExperimentTest, MeasuredLatenciesRespectLemma1) {
   cfg.check_serializability = false;
   const ExperimentResult r = RunExperiment(cfg);
   const Topology topo = Table2Topology();
-  const lp::RttMatrix closure = MetricClosure(topo.rtt_ms);
+  const lp::RttMatrix closure = lp::MetricClosure(topo.rtt_ms);
   EXPECT_DOUBLE_EQ(closure.Get(1, 3), 150.0);  // O-V-I.
   for (int a = 0; a < 5; ++a) {
     for (int b = a + 1; b < 5; ++b) {

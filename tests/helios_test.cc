@@ -745,7 +745,8 @@ TEST(HeliosReplyTest, SaturatedServerStillPaysForEveryWrite) {
   // Apply I/O owed for every committed write the datacenter has applied.
   const auto owed = [&](DcId dc) {
     Duration io = 0;
-    for (const rdict::LogRecord& r : rig->cluster->wal(dc).contents().records) {
+    for (const rdict::LogRecord& r :
+         rig->cluster->wal_journal(dc, 0)->contents().records) {
       if (r.type == rdict::RecordType::kFinished && r.committed) {
         io += cfg.service.write_apply *
               static_cast<Duration>(r.body->write_set.size());
@@ -819,7 +820,7 @@ TEST(HeliosTimestampTest, RecordsLandAboveEverySentPromise) {
   cluster.set_envelope_sizer([&cluster, &sends](const Envelope& env) {
     const DcId from = env.log.from;
     sends[static_cast<size_t>(from)].emplace_back(
-        cluster.wal(from).contents().records.size(),
+        cluster.wal_journal(from, 0)->contents().records.size(),
         env.log.table.Get(from, from));
     return size_t{0};
   });
@@ -830,7 +831,8 @@ TEST(HeliosTimestampTest, RecordsLandAboveEverySentPromise) {
   rig->scheduler.At(Micros(3001700),
                     [&cluster] { cluster.CrashDatacenter(victim); });
   rig->scheduler.At(Micros(3003000), [&cluster, &wal_at_restart] {
-    wal_at_restart = cluster.wal(victim).contents().records.size();
+    wal_at_restart =
+        cluster.wal_journal(victim, 0)->contents().records.size();
     cluster.RecoverDatacenter(victim);
   });
   const ContentionOutcome out = RunContentionWorkload(*rig, opt);
@@ -840,7 +842,7 @@ TEST(HeliosTimestampTest, RecordsLandAboveEverySentPromise) {
 
   size_t appended_after_restart = 0;
   for (DcId dc = 0; dc < opt.num_dcs; ++dc) {
-    const auto& records = cluster.wal(dc).contents().records;
+    const auto& records = cluster.wal_journal(dc, 0)->contents().records;
     const auto& dc_sends = sends[static_cast<size_t>(dc)];
     ASSERT_FALSE(dc_sends.empty()) << "dc " << dc;
     size_t next_send = 0;
@@ -909,6 +911,23 @@ TEST(HeliosCountersTest, CountersAreConsistent) {
   EXPECT_EQ(total.commits, rig->cluster->history().size());
   EXPECT_EQ(total.commit_requests, total.commits + total.total_aborts());
 }
+
+// HELIOS_CHECK stops the process in every build, this NDEBUG one included.
+#if GTEST_HAS_DEATH_TEST
+TEST(HeliosCheckDeathTest, ShortCommitOffsetRowAborts) {
+  auto rig = MakeUniformRig(3, Millis(100), BaseConfig(3));
+  EXPECT_DEATH(rig->cluster->node(0).SetCommitOffsetRow({0, 0}),
+               "check failed: .*offset row of 2 entries for 3 datacenters");
+}
+
+TEST(HeliosCheckDeathTest, CatchupOnDownNodeAborts) {
+  auto rig = MakeUniformRig(3, Millis(100), BaseConfig(3));
+  rig->cluster->node(1).SetDown(true);
+  EXPECT_DEATH(
+      rig->cluster->node(1).BeginCatchup([](const RecoveryOutcome&) {}),
+      "check failed: .*dc1: catch-up on a node that is down");
+}
+#endif
 
 }  // namespace
 }  // namespace helios::core

@@ -143,6 +143,24 @@ TEST(MaoTest, Table2OptimalLatencies) {
   EXPECT_TRUE(SatisfiesLowerBound(Table2Rtt(), {69, 10, 10, 166, 200}));
 }
 
+TEST(MaoTest, MetricClosureRelaysThroughShorterPaths) {
+  const RttMatrix closure = MetricClosure(Table2Rtt());
+  EXPECT_DOUBLE_EQ(closure.Get(1, 3), 150.0);  // O-V-I, direct 175.
+  EXPECT_DOUBLE_EQ(closure.Get(2, 3), 162.0);  // C-V-I, direct 175.
+  EXPECT_DOUBLE_EQ(closure.Get(0, 4), 260.0);  // V-C-S, direct 268.
+  EXPECT_DOUBLE_EQ(closure.Get(1, 4), 201.0);  // O-C-S, direct 210.
+  EXPECT_DOUBLE_EQ(closure.Get(0, 1), 66.0);   // Already shortest.
+  // A metric is its own closure.
+  const RttMatrix again = MetricClosure(closure);
+  for (int a = 0; a < 5; ++a) {
+    for (int b = a + 1; b < 5; ++b) {
+      EXPECT_DOUBLE_EQ(again.Get(a, b), closure.Get(a, b));
+    }
+  }
+  // MAO over the closure is the floor measured latencies obey.
+  EXPECT_NEAR(AverageLatency(SolveMao(closure).value()), 85.1, 0.05);
+}
+
 TEST(MaoTest, TwoDatacentersSplitTheRtt) {
   RttMatrix rtt(2);
   rtt.Set(0, 1, 100);

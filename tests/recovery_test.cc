@@ -256,7 +256,7 @@ TEST(WalReplayEquivalence, HeliosFloorAndTimetableSnapshot) {
   scheduler.RunUntil(Seconds(8));
   ASSERT_GT(*commits, 0);
 
-  const wal::WalContents& contents = cluster.wal(2).contents();
+  const wal::WalContents& contents = cluster.wal_journal(2, 0)->contents();
   ASSERT_FALSE(contents.records.empty());
   EXPECT_TRUE(contents.has_timetable)
       << "GC tick never checkpointed the timetable";

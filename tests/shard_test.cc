@@ -1,8 +1,10 @@
-// Tests for src/shard: ShardMap routing and JSON strictness, the
-// cross-shard parallel-commit happy path, and the coordinator-crash
-// recovery grid (crash during STAGED vs an uncrashed control) judged by
-// the full oracle suite — including the shard_atomicity and
-// staged_resolution oracles this subsystem ships with.
+// Tests for src/shard and the sharded HeliosCluster: ShardMap routing and
+// JSON strictness, the per-(datacenter, shard) journals, metrics and
+// recovery of a cluster built directly, the cross-shard parallel-commit
+// happy path, and the coordinator-crash recovery grid (crash during
+// STAGED vs an uncrashed control) judged by the full oracle suite —
+// including the shard_atomicity and staged_resolution oracles this
+// subsystem ships with.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +15,14 @@
 
 #include <memory>
 
+#include "baselines/replicated_commit.h"
 #include "check/oracles.h"
 #include "check/runner.h"
 #include "core/helios_cluster.h"
 #include "harness/experiment.h"
 #include "harness/experiment_spec.h"
+#include "obs/metrics.h"
 #include "shard/shard_map.h"
-#include "shard/sharded_cluster.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 
@@ -462,16 +465,139 @@ TEST(CrossShardSlice, PlainAdmissionRespectsWaiterFence) {
   EXPECT_TRUE(after.committed) << after.abort_reason;
 }
 
+// --- One cluster class for any shard count --------------------------------
+
+/// A Table 2 deployment split into shards at the key "m": keys below it
+/// live on shard 0, the rest on shard 1.
+struct ShardedRig {
+  explicit ShardedRig(ShardMap map) {
+    const hns::Topology topo = hns::Table2Topology();
+    network = std::make_unique<sim::Network>(&scheduler, topo.size(), 7);
+    hns::ConfigureNetwork(topo, network.get());
+    core::HeliosConfig cfg;
+    cfg.num_datacenters = topo.size();
+    cfg.log_interval = Millis(5);
+    cfg.commit_offsets = hns::PlanCommitOffsets(topo, std::nullopt);
+    cluster = std::make_unique<core::HeliosCluster>(
+        &scheduler, network.get(), std::move(cfg),
+        core::LogProtocolKind::kHelios, "Helios", std::move(map));
+  }
+  sim::Scheduler scheduler;
+  std::unique_ptr<sim::Network> network;
+  std::unique_ptr<core::HeliosCluster> cluster;
+};
+
+std::set<std::string> ExportedNames(const core::HeliosCluster& cluster) {
+  obs::MetricsRegistry registry;
+  cluster.ExportMetrics(&registry);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  std::set<std::string> names;
+  for (const auto& c : snap.counters) names.insert(c.name);
+  for (const auto& g : snap.gauges) names.insert(g.name);
+  return names;
+}
+
+bool HasShardKey(const std::set<std::string>& names) {
+  for (const std::string& name : names) {
+    if (name.rfind("xshard.", 0) == 0 || name.rfind("shard.s", 0) == 0 ||
+        name.find(".staged_holds") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(HeliosClusterShards, ShardKeysAreExportedOnlyWithSeveralShards) {
+  const ShardedRig one{ShardMap()};
+  const std::set<std::string> unsharded = ExportedNames(*one.cluster);
+  EXPECT_EQ(unsharded.count("protocol.commits"), 1u);
+  EXPECT_FALSE(HasShardKey(unsharded));
+
+  const ShardedRig two{ShardMap::Range({"m"})};
+  const std::set<std::string> sharded = ExportedNames(*two.cluster);
+  EXPECT_EQ(sharded.count("protocol.commits"), 1u);
+  EXPECT_EQ(sharded.count("xshard.committed"), 1u);
+  EXPECT_EQ(sharded.count("shard.s1.commits"), 1u);
+  EXPECT_EQ(sharded.count("node.dc0.staged_holds"), 1u);
+}
+
+TEST(HeliosClusterShards, JournalsAreIndexedByDatacenterAndShard) {
+  sim::Scheduler scheduler;
+  sim::Network network(&scheduler, 3, 1);
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = 3;
+  const core::HeliosCluster cluster(&scheduler, &network, cfg,
+                                    core::LogProtocolKind::kHelios, "Helios",
+                                    ShardMap::Hash(2));
+  ASSERT_EQ(cluster.num_shards(), 2);
+  std::set<const wal::MemoryWal*> journals;
+  for (DcId dc = 0; dc < 3; ++dc) {
+    for (int s = 0; s < 2; ++s) {
+      const wal::MemoryWal* journal = cluster.wal_journal(dc, s);
+      ASSERT_NE(journal, nullptr) << "dc " << dc << " shard " << s;
+      journals.insert(journal);
+    }
+  }
+  EXPECT_EQ(journals.size(), 6u);
+
+  baselines::ReplicaConfig rc;
+  rc.num_datacenters = 3;
+  const baselines::ReplicatedCommitCluster baseline(&scheduler, &network, rc);
+  EXPECT_EQ(baseline.num_shards(), 1);
+  EXPECT_NE(baseline.wal_journal(0, 0), nullptr);
+}
+
+TEST(HeliosClusterShards, RecoveryRestoresEveryShardNodeOfTheDatacenter) {
+  ShardedRig rig{ShardMap::Range({"m"})};
+  core::HeliosCluster& cluster = *rig.cluster;
+  cluster.LoadInitialAll("a", "init");
+  cluster.LoadInitialAll("z", "init");
+  cluster.Start();
+  int committed = 0;
+  for (int i = 0; i < 5; ++i) {
+    rig.scheduler.At(Millis(100 + i * 100), [&cluster, &committed, i] {
+      for (const char* key : {"a", "z"}) {  // One commit on each shard.
+        cluster.ClientCommit(2, {}, {{key, "v" + std::to_string(i)}},
+                             [&committed](const CommitOutcome& o) {
+                               if (o.committed) ++committed;
+                             });
+      }
+    });
+  }
+  const DcId victim = 2;
+  uint64_t journaled = 0;
+  rig.scheduler.At(Seconds(2), [&cluster] { cluster.CrashDatacenter(victim); });
+  rig.scheduler.At(Seconds(3), [&cluster, &journaled] {
+    for (int s = 0; s < cluster.num_shards(); ++s) {
+      journaled += cluster.wal_journal(victim, s)->contents().records.size();
+    }
+    cluster.RecoverDatacenter(victim);
+  });
+  rig.scheduler.RunUntil(Seconds(6));
+
+  EXPECT_EQ(committed, 10);
+  EXPECT_GT(cluster.wal_journal(victim, 0)->contents().records.size(), 0u);
+  EXPECT_GT(cluster.wal_journal(victim, 1)->contents().records.size(), 0u);
+  for (int s = 0; s < cluster.num_shards(); ++s) {
+    EXPECT_FALSE(cluster.node(victim, s).down()) << "shard " << s;
+    EXPECT_FALSE(cluster.node(victim, s).recovering()) << "shard " << s;
+  }
+  const RecoveryStats stats = cluster.recovery_snapshot();
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.records_replayed, journaled);
+}
+
 #if GTEST_HAS_DEATH_TEST
-TEST(ShardedClusterDeathTest, InvalidMapAbortsEvenWithoutAsserts) {
+TEST(HeliosClusterDeathTest, InvalidShardMapAbortsEvenWithoutAsserts) {
   core::HeliosConfig cfg;
   cfg.num_datacenters = 1;
   EXPECT_DEATH(
       {
         sim::Scheduler scheduler;
         sim::Network network(&scheduler, 1, 1);
-        ShardedCluster cluster(&scheduler, &network, cfg,
-                               ShardMap::Range({"b", "b"}));
+        core::HeliosCluster cluster(&scheduler, &network, cfg,
+                                    core::LogProtocolKind::kHelios, "Helios",
+                                    ShardMap::Range({"b", "b"}));
       },
       "invalid shard map");
 }

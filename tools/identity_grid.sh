@@ -15,6 +15,8 @@
 #   loss.json        helios1/rc/2pc at 0% and 5% loss with 5% duplication,
 #                    client timeouts on
 #   shards.json      helios1/helios2 over 2 range shards
+#   shards-ro.json   helios1/helios2 over 2 hash shards with 30% read-only
+#                    transactions: the cross-shard read-only merge
 #   trace-<p>.*      --trace_out/--metrics_out runs of helios1, rc and 2pc
 #   trace-rc-lossy.*       traced rc over a 5% lossy, duplicating WAN with
 #                          a crash: reliable sessions, net.retransmit spans
@@ -23,6 +25,10 @@
 #                          the sharded metrics export and its recovery
 #   trace-health.*         traced helios1 on example3 with a stall, a crash
 #                          and --health: the health.* export
+#   trace-sharded-health.* traced helios1 over 2 hash shards with read-only
+#                          transactions, a stall, a crash and --health: the
+#                          stall fan-out and each peer's phi as the max
+#                          across shards
 #
 # Wall-clock timing goes to stderr only and is discarded.
 
@@ -60,6 +66,10 @@ run_grid loss --protocols=helios1,rc,2pc --losses=0,0.05 --dup=0.05 \
 run_grid shards --protocols=helios1,helios2 --seeds=7,8 --shards=2 \
   --shard_by=range --keys=2000 --clients=20 --warmup_s=1 --measure_s=2
 
+run_grid shards-ro --protocols=helios1,helios2 --seeds=7,8 --shards=2 \
+  --keys=2000 --read_only=0.3 --theta=0.7 --clients=20 --warmup_s=1 \
+  --measure_s=2
+
 pids=()
 run_traced() {
   local name="$1"
@@ -80,4 +90,7 @@ run_traced sharded --protocol=helios1 --shards=2 --shard_by=range \
 run_traced health --protocol=helios1 --topology=example3 --clients=10 \
   --warmup_s=1 --measure_s=3 --stall=2:1500:3000 --crash=0:1500:2500 \
   --health "${timeouts[@]}"
+run_traced sharded-health --protocol=helios1 --shards=2 --keys=2000 \
+  --read_only=0.3 --clients=10 --warmup_s=1 --measure_s=3 \
+  --stall=2:1500:3000 --crash=0:1500:2500 --health "${timeouts[@]}"
 for pid in "${pids[@]}"; do wait "$pid"; done
