@@ -5,6 +5,7 @@
 #define HELIOS_CORE_ENVELOPE_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -91,6 +92,14 @@ struct Envelope {
   /// common case) costs zero bytes, keeping healthy traffic unchanged.
   std::vector<Suspicion> suspicions;
 
+  /// The sender's latest sample of the apparent one-way delay δ(receiver
+  /// → sender) in microseconds: how long the receiver's last gossip took
+  /// to reach the sender, measured on the sender's clock against the
+  /// receiver's send stamp, so it includes the two clocks' offset and may
+  /// be negative. Set on gossip only by a node whose clock is disciplined
+  /// (ClockDiscipline); a trailing optional on the wire, absent otherwise.
+  std::optional<Duration> apparent_delay_us;
+
   explicit Envelope(int n) : log(n) {}
 
   /// Returns a recycled envelope (common::ObjectPool) to a blank gossip
@@ -108,6 +117,7 @@ struct Envelope {
     rtt_row_us.clear();
     kind = EnvelopeKind::kGossip;
     suspicions.clear();
+    apparent_delay_us.reset();
   }
 };
 

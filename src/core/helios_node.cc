@@ -55,6 +55,11 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
   }
 }
 
+void HeliosNode::set_clock_step_sink(ClockDiscipline::StepSink sink) {
+  clock_discipline_ = std::make_unique<ClockDiscipline>(
+      id_, config_.num_datacenters, config_.log_interval, std::move(sink));
+}
+
 void HeliosNode::SetCommitOffsetRow(std::vector<Duration> row) {
   HELIOS_CHECK(static_cast<int>(row.size()) == config_.num_datacenters,
                "offset row of " + std::to_string(row.size()) + " entries for " +
@@ -201,6 +206,15 @@ void HeliosNode::HandleEnvelope(EnvelopePtr env) {
   if (rtt_estimator_ != nullptr) {
     // Sample at arrival time (scheduler basis, immune to clock offsets).
     rtt_estimator_->OnIncoming(env->log.from, scheduler_->Now(), *env);
+  }
+  const DcId from = env->log.from;
+  if (clock_discipline_ != nullptr && env->kind == EnvelopeKind::kGossip &&
+      from >= 0 && from < env->log.table.size()) {
+    // Gossip carries the sender's clock at send time as T[from][from]; the
+    // catch-up kinds are sent off the tick and may carry an older stamp.
+    clock_discipline_->OnGossip(from, env->log.table.Get(from, from),
+                                clock_->Now(), env->apparent_delay_us,
+                                scheduler_->Now());
   }
   if (peer_health_ != nullptr) {
     // Every envelope is a heartbeat. Fed at arrival (not processing) time
@@ -950,6 +964,13 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
   // presumed aborts of pass 2 included) could land under a promise every
   // peer already holds, and no peer would ever ingest it.
   clock_->AdvanceTo(log_.KnownUpTo(id_));
+  if (clock_discipline_ != nullptr && clock_->Now() < clock_->floor()) {
+    // A restarted process's clock may start below the promises it made
+    // before the crash (a live clock counts from its own loop's start),
+    // which would freeze NowUnique at the floor and hold every peer's
+    // commits on this node until the clock caught up.
+    clock_discipline_->Step(clock_->floor() - clock_->Now(), scheduler_->Now());
+  }
   log_.AdvanceOwnClock(clock_->NowUnique());
   records_replayed_ = records.size();
   // The contract NextRecordTs relies on, in every build: the clock floor
@@ -1060,6 +1081,9 @@ void HeliosNode::SendToAllPeers() {
     // passively from envelope arrivals, so piggybacking the evaluation here
     // adds no scheduled events (bit-identity of healthy runs).
     EvaluateHealth();
+    if (clock_discipline_ != nullptr) {
+      clock_discipline_->Tick(scheduler_->Now());
+    }
     // Every record this node creates from here on will carry a timestamp
     // greater than this clock reading, so peers may treat our history as
     // complete up to it (essential when we are idle).
@@ -1073,6 +1097,9 @@ void HeliosNode::SendToAllPeers() {
       StampSuspicions(env.get());
       if (rtt_estimator_ != nullptr) {
         rtt_estimator_->StampOutgoing(peer, scheduler_->Now(), env.get());
+      }
+      if (clock_discipline_ != nullptr) {
+        env->apparent_delay_us = clock_discipline_->ReportFor(peer);
       }
       SendEnvelope(peer, std::move(env));
     }

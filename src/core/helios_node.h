@@ -30,6 +30,7 @@
 #include "common/object_pool.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/clock_discipline.h"
 #include "core/envelope.h"
 #include "core/helios_config.h"
 #include "core/history.h"
@@ -331,6 +332,22 @@ class HeliosNode {
   /// knowledge, raised by the inferred eta bound when f > 0). Exposed for
   /// tests.
   Timestamp EffectiveKnowledge(DcId peer) const;
+
+  /// Disciplines this node's clock against its peers (ClockDiscipline):
+  /// from now on the node measures the apparent one-way delays on gossip,
+  /// reports them back, and on its gossip tick hands `sink` every forward
+  /// step that makes them symmetric. `sink` must advance the clock this
+  /// node reads by exactly the step. Without a sink (the default, and
+  /// every simulated deployment: there the clock offsets are the
+  /// experiment's input) the node neither measures nor reports. Install
+  /// before Restore(), which steps a restarted clock up to its restored
+  /// timestamp floor.
+  void set_clock_step_sink(ClockDiscipline::StepSink sink);
+  /// Steps taken so far (zero without a sink).
+  ClockStepStats clock_step_stats() const {
+    return clock_discipline_ == nullptr ? ClockStepStats{}
+                                        : clock_discipline_->stats();
+  }
 
   /// Online RTT estimator (non-null only with config.estimate_rtts).
   const RttEstimator* rtt_estimator() const { return rtt_estimator_.get(); }
@@ -644,6 +661,8 @@ class HeliosNode {
   /// node's destruction (amnesia crash) via the pool's weak deleter.
   common::ObjectPool<Envelope> envelope_pool_;
   std::unique_ptr<RttEstimator> rtt_estimator_;
+  /// Null unless set_clock_step_sink installed a sink.
+  std::unique_ptr<ClockDiscipline> clock_discipline_;
   /// Runtime override of co[self][*]; empty = use the config's offsets.
   std::vector<Duration> offset_row_override_;
 

@@ -93,8 +93,12 @@ struct ClusterSpec {
   std::string WalPathFor(int dc, int shard) const;
 
   /// The protocol config every heliosd derives from this spec. Commit
-  /// offsets stay empty (Helios-B): a live deployment replans them online
-  /// from RTT estimates rather than baking guesses into the file.
+  /// offsets stay empty (Helios-B: every commit waits one apparent one-way
+  /// delay from each peer), since the file carries no RTTs and heliosd
+  /// does not replan them (estimate_rtts stays off). Each daemon
+  /// disciplines its clock against its peers (core::ClockDiscipline), so
+  /// that delay is the path's real RTT/2 and not the gap between the
+  /// instants the daemons started.
   core::HeliosConfig MakeConfig() const;
 
   /// At least one datacenter, every derived (dc, shard) port nonzero,

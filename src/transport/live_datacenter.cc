@@ -1,11 +1,11 @@
 #include "transport/live_datacenter.h"
 
 #include <algorithm>
-#include <cassert>
 #include <future>
 #include <map>
 #include <sstream>
 
+#include "common/check.h"
 #include "wire/serialization.h"
 
 namespace helios::transport {
@@ -32,13 +32,21 @@ LiveDatacenter::LiveDatacenter(DcId id, core::HeliosConfig config,
         const wire::Buffer& frame = framer_.Frame(*env);
         (void)transport_->Send(to, frame.data(), frame.size());
       });
+  // The loop clock counts from this process's own Start, so datacenters
+  // started (or restarted) at different instants disagree by that much;
+  // the discipline steps this clock forward until the apparent one-way
+  // delays to and from the peers are symmetric. Runs on the loop thread.
+  node_->set_clock_step_sink([this](Duration step) {
+    clock_->set_offset(clock_->offset() + step);
+  });
 }
 
 LiveDatacenter::~LiveDatacenter() { Stop(); }
 
 Status LiveDatacenter::EnableWal(const std::string& path,
                                  const wal::FileWalOptions& opts) {
-  assert(!started_);
+  HELIOS_CHECK(!started_, "dc" + std::to_string(id_) +
+                              ": EnableWal after Start");
   auto recovered = wal::RecoverFileWal(path);
   if (!recovered.ok()) return recovered.status();
   const wal::WalContents& contents = recovered.value().contents;
@@ -73,7 +81,10 @@ Status LiveDatacenter::Listen(uint16_t port) {
 }
 
 Status LiveDatacenter::ConnectPeers(const std::vector<uint16_t>& ports) {
-  assert(static_cast<int>(ports.size()) == config_.num_datacenters);
+  HELIOS_CHECK(static_cast<int>(ports.size()) == config_.num_datacenters,
+               "dc" + std::to_string(id_) + ": " +
+                   std::to_string(ports.size()) + " peer ports for " +
+                   std::to_string(config_.num_datacenters) + " datacenters");
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
     if (dc == id_) continue;
     Status s = transport_->Connect(dc, ports[static_cast<size_t>(dc)]);
@@ -83,7 +94,7 @@ Status LiveDatacenter::ConnectPeers(const std::vector<uint16_t>& ports) {
 }
 
 void LiveDatacenter::Start() {
-  assert(!started_);
+  HELIOS_CHECK(!started_, "dc" + std::to_string(id_) + ": Start twice");
   started_ = true;
   loop_.Start();
   loop_.Post([this]() {
@@ -263,6 +274,13 @@ HealthSnapshot LiveDatacenter::health_snapshot() {
   } else {
     collect();
   }
+  return out;
+}
+
+core::ClockStepStats LiveDatacenter::clock_snapshot() {
+  core::ClockStepStats out;
+  if (!started_) return node_->clock_step_stats();
+  loop_.PostAndWait([this, &out]() { out = node_->clock_step_stats(); });
   return out;
 }
 

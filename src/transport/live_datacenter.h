@@ -13,6 +13,11 @@
 //    consistently on restart — torn tails are truncated, and after
 //    Start() the node pulls the log suffix it missed from peers
 //    (anti-entropy catch-up) before serving commits.
+//  * Clock discipline: the node's clock steps forward until the apparent
+//    one-way delays to and from its peers are symmetric (core::
+//    ClockDiscipline), so processes started at different instants, a
+//    restart from the WAL, or asymmetric paths do not stretch the Rule-2
+//    wait beyond the RTT/2 the commit offsets were planned on.
 //  * Overload protection: SetAdmissionControl bounds the in-flight
 //    transaction budget and the event-loop backlog; commits beyond the
 //    budget are rejected immediately with the BUSY outcome instead of
@@ -136,6 +141,9 @@ class LiveDatacenter {
 
   /// Per-peer phi / suspicion state (synchronized through the loop).
   HealthSnapshot health_snapshot();
+
+  /// Clock-discipline steps so far (synchronized through the loop).
+  core::ClockStepStats clock_snapshot();
 
   /// Crash-recovery totals: what EnableWal replayed plus what catch-up
   /// pulled from peers (thread-safe).

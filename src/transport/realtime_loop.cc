@@ -1,12 +1,13 @@
 #include "transport/realtime_loop.h"
 
-#include <cassert>
 #include <future>
+
+#include "common/check.h"
 
 namespace helios::transport {
 
 void RealtimeLoop::Start() {
-  assert(!running_);
+  HELIOS_CHECK(!running_, "RealtimeLoop::Start on a running loop");
   stop_requested_ = false;
   running_ = true;
   epoch_ = std::chrono::steady_clock::now();
@@ -33,7 +34,8 @@ void RealtimeLoop::Post(std::function<void()> fn) {
 }
 
 void RealtimeLoop::PostAndWait(std::function<void()> fn) {
-  assert(std::this_thread::get_id() != thread_.get_id());
+  HELIOS_CHECK(std::this_thread::get_id() != thread_.get_id(),
+               "PostAndWait from the loop thread would deadlock");
   std::promise<void> done;
   Post([&fn, &done]() {
     fn();

@@ -11,6 +11,12 @@ constexpr uint64_t kMaxSetSize = 1 << 20;
 constexpr uint64_t kMaxRecords = 1 << 22;
 constexpr uint64_t kMaxDatacenters = 1 << 10;
 
+// Envelope trailer byte: the kind in the low bits, one flag per optional
+// section that follows it.
+constexpr uint8_t kKindMask = 0x03;
+constexpr uint8_t kHasSuspicions = 0x40;
+constexpr uint8_t kHasApparentDelay = 0x80;
+
 }  // namespace
 
 void EncodeTxnId(const TxnId& id, Writer* w) {
@@ -196,14 +202,16 @@ void EncodeEnvelope(const core::Envelope& env, Writer* w) {
   w->PutSignedVarint(env.pong_hold_us);
   w->PutVarint(env.rtt_row_us.size());
   for (Duration d : env.rtt_row_us) w->PutSignedVarint(d);
-  // Trailing optionals: a kind byte only for non-gossip envelopes, then a
-  // suspicion section only when suspicions are held. A healthy gossip
-  // envelope carries neither, so its byte layout (and measured message
-  // sizes) are unchanged; an envelope with suspicions spells out the kind
-  // byte even for kGossip so the decoder can tell the sections apart.
+  // Trailing optionals behind one trailer byte: the envelope kind in the
+  // low bits, plus a flag per optional section that follows (suspicions,
+  // then the apparent delay). A plain gossip envelope carries no trailer,
+  // so its byte layout (and measured message sizes) are unchanged.
   const bool has_suspicions = !env.suspicions.empty();
-  if (env.kind != core::EnvelopeKind::kGossip || has_suspicions) {
-    w->PutU8(static_cast<uint8_t>(env.kind));
+  const bool has_delay = env.apparent_delay_us.has_value();
+  if (env.kind != core::EnvelopeKind::kGossip || has_suspicions || has_delay) {
+    w->PutU8(static_cast<uint8_t>(
+        static_cast<uint8_t>(env.kind) | (has_suspicions ? kHasSuspicions : 0) |
+        (has_delay ? kHasApparentDelay : 0)));
   }
   if (has_suspicions) {
     w->PutVarint(env.suspicions.size());
@@ -212,6 +220,7 @@ void EncodeEnvelope(const core::Envelope& env, Writer* w) {
       w->PutSignedVarint(s.since);
     }
   }
+  if (has_delay) w->PutSignedVarint(*env.apparent_delay_us);
 }
 
 Status DecodeEnvelope(Decoder* dec, core::Envelope* out) {
@@ -258,17 +267,20 @@ Status DecodeEnvelope(Decoder* dec, core::Envelope* out) {
     s = dec->GetSignedVarint(&env.rtt_row_us[i]);
     if (!s.ok()) return s;
   }
-  if (dec->remaining() > 0) {
-    uint8_t kind = 0;
-    s = dec->GetU8(&kind);
-    if (!s.ok()) return s;
-    // kind 0 (kGossip) is spelled out when a suspicion section follows.
-    if (kind > static_cast<uint8_t>(core::EnvelopeKind::kCatchupResponse)) {
-      return Status::InvalidArgument("bad envelope kind");
-    }
-    env.kind = static_cast<core::EnvelopeKind>(kind);
+  if (dec->remaining() == 0) {
+    *out = std::move(env);
+    return Status::Ok();
   }
-  if (dec->remaining() > 0) {
+  uint8_t trailer = 0;
+  s = dec->GetU8(&trailer);
+  if (!s.ok()) return s;
+  const uint8_t kind = trailer & kKindMask;
+  if ((trailer & ~(kKindMask | kHasSuspicions | kHasApparentDelay)) != 0 ||
+      kind > static_cast<uint8_t>(core::EnvelopeKind::kCatchupResponse)) {
+    return Status::InvalidArgument("bad envelope trailer");
+  }
+  env.kind = static_cast<core::EnvelopeKind>(kind);
+  if ((trailer & kHasSuspicions) != 0) {
     uint64_t suspicions = 0;
     s = dec->GetVarint(&suspicions);
     if (!s.ok()) return s;
@@ -286,6 +298,12 @@ Status DecodeEnvelope(Decoder* dec, core::Envelope* out) {
       if (!s.ok()) return s;
       env.suspicions.push_back(susp);
     }
+  }
+  if ((trailer & kHasApparentDelay) != 0) {
+    Duration delay = 0;
+    s = dec->GetSignedVarint(&delay);
+    if (!s.ok()) return s;
+    env.apparent_delay_us = delay;
   }
   *out = std::move(env);
   return Status::Ok();

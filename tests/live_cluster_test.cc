@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/helios_config.h"
@@ -82,6 +83,83 @@ TEST(LiveClusterTest, SupervisedKillRestartConverges) {
   EXPECT_EQ(RunCommand(cmd), 0)
       << "supervisor reported divergence or a crashed daemon; artifacts in "
       << dir;
+}
+
+// --- Clock discipline: daemons launched a second apart still commit fast ---
+
+/// The number after `"key":` in a flat JSON document, or -1.
+double JsonNumber(const std::string& doc, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = doc.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(doc.c_str() + at + needle.size(), nullptr);
+}
+
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(LiveClusterTest, RelaunchedDaemonsClockDoesNotHoldCommitsBack) {
+  // heliosd starts its loop, and with it its clock, once every peer
+  // listens, so daemons launched apart start their clocks together. A
+  // daemon relaunched from its WAL cannot: its new clock starts at zero,
+  // below the promises it restored, and without the discipline every
+  // commit at its peers would wait out the gap (seconds).
+  const std::string dir = TempDirFor("clock");
+  const std::string cluster_path = dir + "/cluster.json";
+  transport::ClusterSpec spec;
+  spec.datacenters = {{7451, dir + "/dc0.wal"},
+                      {7452, dir + "/dc1.wal"},
+                      {7453, dir + "/dc2.wal"}};
+  spec.grace_time = Millis(2000);
+  spec.log_interval = Millis(5);
+  spec.inbound_delay = Millis(20);
+  spec.wal_options.policy = wal::SyncPolicy::kGroupCommit;
+  ASSERT_TRUE(spec.Validate().ok());
+  WriteFileOrDie(cluster_path, spec.ToJson());
+
+  // A daemon leaves on stdin EOF (or, for dc1's first life, SIGKILL at
+  // 2 s) and writes its metrics on the way out. dc0 offers itself 9 s of
+  // load from launch; dc1 is relaunched at about 3 s.
+  const auto launch = [&](int dc, const std::string& life,
+                          const std::string& extra) {
+    const std::string cmd =
+        "(" + life + " " HELIOS_HELIOSD_BIN " --cluster=" + cluster_path +
+        " --dc=" + std::to_string(dc) + " --metrics_out=" + dir + "/m" +
+        std::to_string(dc) + ".json" + extra + ") >> " + dir + "/d" +
+        std::to_string(dc) + ".log 2>&1 &";
+    ASSERT_EQ(RunCommand(cmd), 0);
+  };
+  launch(0, "sleep 12 |", " --load_rate=100 --load_duration_s=9");
+  launch(1, "sleep 3 | timeout -s KILL 2", "");
+  launch(2, "sleep 12 |", "");
+  ::sleep(3);
+  launch(1, "sleep 9 |", "");
+
+  std::string m[3];
+  for (int waited = 0; waited < 40; ++waited) {
+    ::sleep(1);
+    bool all = true;
+    for (int dc = 0; dc < 3; ++dc) {
+      m[dc] = ReadFileOrEmpty(dir + "/m" + std::to_string(dc) + ".json");
+      all = all && !m[dc].empty();
+    }
+    if (all) break;
+  }
+  ASSERT_FALSE(m[0].empty()) << "dc0 wrote no metrics; see " << dir;
+  ASSERT_FALSE(m[1].empty()) << "dc1 wrote no metrics; see " << dir;
+  // Most of dc0's commits come after the relaunch. Helios-B waits one
+  // apparent one-way delay (20 ms) plus ticks.
+  const double p50 = JsonNumber(m[0], "latency_p50_ms");
+  EXPECT_GT(p50, 0.0) << m[0];
+  EXPECT_LT(p50, 20.0 + 5 * 5.0) << m[0];
+  // dc1's second life stepped up to its restored floor and then over
+  // the downtime; dc0 never chased it.
+  EXPECT_EQ(JsonNumber(m[1], "recoveries"), 1.0) << m[1];
+  EXPECT_GT(JsonNumber(m[1], "stepped_us"), 2e6) << m[1];
+  EXPECT_LT(JsonNumber(m[0], "stepped_us"), 1e4) << m[0];
 }
 
 // --- Overload: graceful degradation under far-beyond-capacity load --------

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/history.h"
+#include "lp/mao.h"
 #include "transport/io_util.h"
 #include "transport/live_datacenter.h"
 #include "transport/realtime_loop.h"
@@ -609,6 +610,199 @@ TEST(TcpTransportTest, BlockBeforeConnectIsRemembered) {
   client.Shutdown();
   server.Shutdown();
 }
+
+
+// --- Clock discipline over real sockets --------------------------------------
+
+/// The config of a deployment whose datacenter `dc` receives every
+/// envelope after delays[dc]: commit offsets planned on RTT(a, b) =
+/// delays[a] + delays[b], a 5 ms log interval.
+core::HeliosConfig DelayedConfig(const std::vector<Duration>& delays) {
+  const int n = static_cast<int>(delays.size());
+  lp::RttMatrix rtt(n);
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      rtt.Set(a, b, ToMillis(delays[static_cast<size_t>(a)] +
+                             delays[static_cast<size_t>(b)]));
+    }
+  }
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = n;
+  cfg.log_interval = Millis(5);
+  cfg.grace_time = Millis(2000);
+  cfg.commit_offsets = lp::EvenSplitOffsetsUs(lp::SolveMao(rtt).value());
+  return cfg;
+}
+
+/// Listening datacenters for DelayedConfig(delays); the caller connects
+/// and starts them.
+std::vector<std::unique_ptr<LiveDatacenter>> DelayedDatacenters(
+    const std::vector<Duration>& delays) {
+  const core::HeliosConfig cfg = DelayedConfig(delays);
+  std::vector<std::unique_ptr<LiveDatacenter>> dcs;
+  for (DcId dc = 0; dc < cfg.num_datacenters; ++dc) {
+    dcs.push_back(std::make_unique<LiveDatacenter>(
+        dc, cfg, delays[static_cast<size_t>(dc)]));
+    EXPECT_TRUE(dcs.back()->Listen(0).ok());
+  }
+  return dcs;
+}
+
+std::vector<uint16_t> PortsOf(
+    const std::vector<std::unique_ptr<LiveDatacenter>>& dcs) {
+  std::vector<uint16_t> ports;
+  for (const auto& dc : dcs) ports.push_back(dc->port());
+  return ports;
+}
+
+/// Wall-clock milliseconds of one committed write at `dc`.
+double CommitMillis(LiveDatacenter& dc, const std::string& key) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const CommitOutcome o = dc.CommitSync({}, {{key, "v"}});
+  EXPECT_TRUE(o.committed) << o.abort_reason;
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The fastest of three commits at `dc`, so one scheduler hiccup on a
+/// loaded machine does not decide the test.
+double BestCommitMillis(LiveDatacenter& dc, const std::string& key) {
+  double best = CommitMillis(dc, key + "0");
+  for (int i = 1; i < 3; ++i) {
+    best = std::min(best, CommitMillis(dc, key + std::to_string(i)));
+  }
+  return best;
+}
+
+TEST(LiveClockDisciplineTest, AsymmetricInboundDelaysConvergeAndHoldStill) {
+  // perfbench's live-voc shape: every envelope reaches V after 62.5 ms, O
+  // after 3.5 ms and C after 15.5 ms. Undisciplined, V's commits wait
+  // about 92 ms against a planned 62.5 ms.
+  auto dcs = DelayedDatacenters({Micros(62500), Micros(3500), Micros(15500)});
+  for (auto& dc : dcs) ASSERT_TRUE(dc->ConnectPeers(PortsOf(dcs)).ok());
+  for (auto& dc : dcs) dc->Start();
+  std::this_thread::sleep_for(1500ms);
+  EXPECT_LT(BestCommitMillis(*dcs[0], "v"), 75.0);
+  const auto snapshot = [&dcs]() {
+    std::vector<core::ClockStepStats> stats;
+    for (auto& dc : dcs) stats.push_back(dc->clock_snapshot());
+    return stats;
+  };
+  const auto same = [](const std::vector<core::ClockStepStats>& a,
+                       const std::vector<core::ClockStepStats>& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].steps != b[i].steps) return false;
+    }
+    return true;
+  };
+  // The last steps of the convergence are a deadband wide; on a loaded
+  // machine (or a sanitizer build) they can trail the commit above. Once
+  // no clock has stepped for a second, none may step again.
+  std::vector<core::ClockStepStats> steps = snapshot();
+  auto quiet_since = std::chrono::steady_clock::now();
+  const auto deadline = quiet_since + 5s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         std::chrono::steady_clock::now() - quiet_since < 1s) {
+    std::this_thread::sleep_for(50ms);
+    std::vector<core::ClockStepStats> now = snapshot();
+    if (!same(now, steps)) {
+      steps = std::move(now);
+      quiet_since = std::chrono::steady_clock::now();
+    }
+  }
+  EXPECT_GT(steps[1].steps, 0u);
+  EXPECT_GT(steps[2].steps, 0u);
+  std::this_thread::sleep_for(5s);
+  const std::vector<core::ClockStepStats> later = snapshot();
+  for (size_t dc = 0; dc < dcs.size(); ++dc) {
+    EXPECT_EQ(later[dc].steps, steps[dc].steps)
+        << "dc" << dc << " stepped again after converging: "
+        << steps[dc].stepped_us << " -> " << later[dc].stepped_us << " us";
+  }
+  for (auto& dc : dcs) dc->Stop();
+}
+
+TEST(LiveClockDisciplineTest, StaggeredStartsConverge) {
+  // Each loop clock counts from its own Start: started 500 ms after dc0,
+  // dc1 runs 500 ms behind, and every dc0 commit would wait that long.
+  auto dcs = DelayedDatacenters({Millis(5), Millis(5)});
+  for (auto& dc : dcs) ASSERT_TRUE(dc->ConnectPeers(PortsOf(dcs)).ok());
+  dcs[0]->Start();
+  std::this_thread::sleep_for(500ms);
+  dcs[1]->Start();
+  std::this_thread::sleep_for(2s);
+  EXPECT_LT(BestCommitMillis(*dcs[0], "s"), 50.0);
+  // dc1 closed the gap; dc0, ahead all along, never chased it.
+  EXPECT_GE(dcs[1]->clock_snapshot().stepped_us, Millis(400));
+  EXPECT_LT(dcs[0]->clock_snapshot().stepped_us, Millis(10));
+  for (auto& dc : dcs) dc->Stop();
+}
+
+TEST(LiveClockDisciplineTest, WalRestartConverges) {
+  // A datacenter restarted from its WAL restores the promises it made on
+  // its old clock, while its new loop clock starts again at zero; its
+  // peer's commits would wait out the old uptime.
+  const std::string path = ::testing::TempDir() + "/live_clock_wal_" +
+                           std::to_string(::getpid()) + ".wal";
+  std::remove(path.c_str());
+  const std::vector<Duration> delays = {Millis(5), Millis(5)};
+  auto dcs = DelayedDatacenters(delays);
+  ASSERT_TRUE(dcs[0]->EnableWal(path, wal::FileWalOptions{}).ok());
+  const std::vector<uint16_t> ports = PortsOf(dcs);
+  for (auto& dc : dcs) ASSERT_TRUE(dc->ConnectPeers(ports).ok());
+  for (auto& dc : dcs) dc->Start();
+  ASSERT_TRUE(dcs[0]->CommitSync({}, {{"before", "1"}}).committed);
+  std::this_thread::sleep_for(1500ms);
+  dcs[0]->Stop();
+
+  dcs[0] = std::make_unique<LiveDatacenter>(0, DelayedConfig(delays),
+                                            delays[0]);
+  ASSERT_TRUE(dcs[0]->EnableWal(path, wal::FileWalOptions{}).ok());
+  ASSERT_TRUE(dcs[0]->Listen(ports[0]).ok());
+  ASSERT_TRUE(dcs[0]->ConnectPeers(ports).ok());
+  dcs[0]->Start();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (dcs[0]->recovery_snapshot().recoveries == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(dcs[0]->recovery_snapshot().recoveries, 1u);
+  std::this_thread::sleep_for(1s);
+  EXPECT_LT(BestCommitMillis(*dcs[1], "r"), 50.0);
+  for (auto& dc : dcs) dc->Stop();
+  std::remove(path.c_str());
+}
+
+// The transport's lifecycle checks stop the process in every build, this
+// NDEBUG one included.
+#if GTEST_HAS_DEATH_TEST
+TEST(LiveDatacenterDeathTest, ShortPeerPortListAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = 3;
+  EXPECT_DEATH(
+      {
+        LiveDatacenter dc(0, cfg);
+        (void)dc.ConnectPeers({1});
+      },
+      "check failed: .*dc0: 1 peer ports for 3 datacenters");
+}
+
+TEST(LiveDatacenterDeathTest, SecondStartAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = 1;
+  EXPECT_DEATH(
+      {
+        LiveDatacenter dc(0, cfg);
+        (void)dc.Listen(0);
+        dc.Start();
+        dc.Start();
+      },
+      "check failed: .*dc0: Start twice");
+}
+#endif
 
 TEST(LiveDatacenterTest, InitialDataVisibleBeforeTraffic) {
   LiveCluster cluster(2, Millis(5));

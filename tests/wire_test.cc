@@ -257,6 +257,74 @@ TEST(SerializationTest, EnvelopeRoundTrip) {
   EXPECT_TRUE(dec.exhausted());
 }
 
+/// Decodes `env` after an encode, expecting success and no leftover bytes.
+core::Envelope RoundTrip(const core::Envelope& env) {
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(env, &w);
+  Decoder dec(buf);
+  core::Envelope out(1);
+  EXPECT_TRUE(DecodeEnvelope(&dec, &out).ok());
+  EXPECT_TRUE(dec.exhausted());
+  return out;
+}
+
+TEST(SerializationTest, ApparentDelayRoundTripsPresentAbsentAndNegative) {
+  core::Envelope env = SampleEnvelope();
+  EXPECT_FALSE(RoundTrip(env).apparent_delay_us.has_value());
+  // Apparent delays go negative when the receiver's clock runs ahead.
+  for (Duration d : {Duration{0}, Duration{62500}, Duration{-97000}}) {
+    env.apparent_delay_us = d;
+    const core::Envelope out = RoundTrip(env);
+    ASSERT_TRUE(out.apparent_delay_us.has_value());
+    EXPECT_EQ(*out.apparent_delay_us, d);
+    EXPECT_EQ(out.kind, core::EnvelopeKind::kGossip);
+    EXPECT_TRUE(out.suspicions.empty());
+  }
+  // Alongside the other trailing sections.
+  env.kind = core::EnvelopeKind::kCatchupResponse;
+  env.suspicions = {core::Suspicion{1, 4242}};
+  const core::Envelope out = RoundTrip(env);
+  EXPECT_EQ(out.kind, core::EnvelopeKind::kCatchupResponse);
+  EXPECT_EQ(out.suspicions, env.suspicions);
+  EXPECT_EQ(out.apparent_delay_us, env.apparent_delay_us);
+}
+
+TEST(SerializationTest, TruncatedApparentDelayIsRejected) {
+  core::Envelope env = SampleEnvelope();
+  env.apparent_delay_us = Seconds(3);  // A multi-byte varint.
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(env, &w);
+  std::vector<uint8_t> bytes = buf.ToVector();
+  bytes.pop_back();
+  Decoder dec(bytes);
+  core::Envelope out(1);
+  EXPECT_FALSE(DecodeEnvelope(&dec, &out).ok());
+}
+
+TEST(SerializationTest, UnknownTrailerBitsAreRejected) {
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(SampleEnvelope(), &w);
+  std::vector<uint8_t> bytes = buf.ToVector();
+  bytes.push_back(0x20);  // No such section.
+  Decoder dec(bytes);
+  core::Envelope out(1);
+  EXPECT_FALSE(DecodeEnvelope(&dec, &out).ok());
+}
+
+TEST(SerializationTest, GossipGrowsByExactlyTheApparentDelayBytes) {
+  core::Envelope env = SampleEnvelope();
+  const size_t without = EncodedEnvelopeSize(env);
+  env.apparent_delay_us = 62500;
+  Buffer field;
+  Writer w(&field);
+  w.PutSignedVarint(62500);
+  // One trailer byte (a plain gossip envelope has none) plus the value.
+  EXPECT_EQ(EncodedEnvelopeSize(env), without + 1 + field.size());
+}
+
 TEST(SerializationTest, FrameRoundTrip) {
   const auto bytes = Framed(SampleEnvelope());
   auto result = UnframeEnvelope(bytes);

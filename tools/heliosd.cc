@@ -89,7 +89,15 @@ std::string MetricsJson(int dc, int shard, int shards, LiveDatacenter& node,
   namespace json = helios::json;
   const OverloadStats overload = node.overload_snapshot();
   const helios::RecoveryStats recovery = node.recovery_snapshot();
+  const helios::core::ClockStepStats clock = node.clock_snapshot();
 
+  std::string clock_doc;
+  {
+    json::ObjectWriter w(&clock_doc);
+    w.Field("stepped_us", clock.stepped_us);
+    w.Field("steps", clock.steps);
+    w.Close();
+  }
   std::string overload_doc;
   {
     json::ObjectWriter w(&overload_doc);
@@ -135,6 +143,7 @@ std::string MetricsJson(int dc, int shard, int shards, LiveDatacenter& node,
 
   std::string out;
   json::ObjectWriter w(&out);
+  w.Raw("clock", clock_doc);
   w.Field("dc", static_cast<int64_t>(dc));
   if (health.enabled) w.Raw("health", health_doc);
   if (load.ran && load.done.load()) {
