@@ -53,11 +53,16 @@ struct Suspicion {
 /// log; the catch-up kinds implement the anti-entropy phase a recovering
 /// datacenter runs after rebuilding from its WAL (it sends its restored
 /// timetable to every peer and each peer answers with exactly the log
-/// suffix the table proves the requester is missing).
+/// suffix the table proves the requester is missing). An ack is the
+/// receipt acknowledgment of Rule 3 (f > 0 only): the partial log a node
+/// sends back at once to a peer whose gossip carried fresh preparing
+/// records of that peer's own, instead of waiting for its next tick. It
+/// promises nothing new, and it is itself never acknowledged.
 enum class EnvelopeKind : uint8_t {
   kGossip = 0,
   kCatchupRequest = 1,
   kCatchupResponse = 2,
+  kAck = 3,
 };
 
 /// One Helios-to-Helios message.
@@ -82,7 +87,7 @@ struct Envelope {
   /// full matrix the MAO replanner needs.
   std::vector<Duration> rtt_row_us;
 
-  /// Role of this envelope (gossip vs. recovery catch-up). On the wire
+  /// Role of this envelope (gossip, ack or recovery catch-up). On the wire
   /// the field is a trailing optional: omitted for kGossip, so regular
   /// traffic's byte layout (and measured message sizes) are unchanged.
   EnvelopeKind kind = EnvelopeKind::kGossip;

@@ -527,6 +527,11 @@ void HeliosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->counter("node.aborts_liveness").Set(total.aborts_liveness);
   registry->counter("node.records_ingested").Set(total.records_ingested);
   registry->counter("node.envelopes_sent").Set(total.envelopes_sent);
+  // Only f > 0 acknowledges on receipt; gating keeps f = 0 snapshots'
+  // key set byte for byte.
+  if (config_.fault_tolerance > 0) {
+    registry->counter("node.acks_sent").Set(total.acks_sent);
+  }
   registry->counter("node.refusals_issued").Set(total.refusals_issued);
   registry->counter("node.read_only_txns").Set(total.read_only_txns);
   // Protocol-neutral aliases so cross-protocol comparisons can key on the

@@ -216,9 +216,12 @@ void HeliosNode::HandleEnvelope(EnvelopePtr env) {
                                 clock_->Now(), env->apparent_delay_us,
                                 scheduler_->Now());
   }
-  if (peer_health_ != nullptr) {
-    // Every envelope is a heartbeat. Fed at arrival (not processing) time
-    // so a backlog in our own service queue never indicts a healthy peer.
+  if (peer_health_ != nullptr && env->kind != EnvelopeKind::kAck) {
+    // Every envelope but an ack is a heartbeat: acks answer our own gossip
+    // and flow only under load, so counting them would shrink the fitted
+    // inter-arrival time and make a quiet spell look like silence. Fed at
+    // arrival (not processing) time so a backlog in our own service queue
+    // never indicts a healthy peer.
     peer_health_->OnArrival(env->log.from, scheduler_->Now());
   }
   // Only the fixed per-message cost is known up front; per-record work is
@@ -534,6 +537,7 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
     for (const rdict::LogRecord& rec : fresh) record_sink_(rec);
   }
 
+  bool sender_prepared = false;  // Fresh preparing records of the sender's.
   for (const rdict::LogRecord& rec : fresh) {
     if (rec.origin == id_) continue;  // Lines 2-3: skip local records.
 
@@ -554,6 +558,7 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
     if (rec.type == rdict::RecordType::kPreparing) {
       // Lines 7-8.
       ept_pool_.Add(rec.body);
+      sender_prepared = sender_prepared || rec.origin == env.log.from;
       if (config_.fault_tolerance > 0) {
         // Grace-time acknowledgment (Section 4.4): refuse to acknowledge a
         // record that arrived later than q(t) + GT on our clock.
@@ -594,7 +599,10 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
     }
   }
 
-  if (env.kind == EnvelopeKind::kCatchupRequest) {
+  if (env.kind == EnvelopeKind::kGossip && sender_prepared &&
+      config_.fault_tolerance > 0) {
+    SendAck(env.log.from);
+  } else if (env.kind == EnvelopeKind::kCatchupRequest) {
     // A recovering peer sent us its restored timetable (merged by the
     // Ingest above); BuildMessageFor now computes exactly the suffix it
     // is missing. Answer immediately instead of waiting for the next
@@ -611,6 +619,23 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
 
   // Algorithm 3 runs whenever new knowledge arrives.
   TryCommitAll();
+}
+
+void HeliosNode::SendAck(DcId to) {
+  // Rule 3 counts us toward `to`'s quorum once `to`'s table shows
+  // T[self][to] >= q(t). The ingest above already decided condition (3)
+  // for every fresh record — acknowledge or refuse — so the answer leaves
+  // now rather than at our next tick. No AdvanceOwnClock: the ack promises
+  // nothing our last tick or last record did not, which keeps our records'
+  // timestamps where the tick put them. Only gossip is acked, so an ack
+  // never answers an ack and acks never outnumber the gossip received.
+  auto ack = AcquireEnvelope();
+  log_.BuildMessageInto(to, &ack->log);
+  ack->refusals = RefusalsSnapshot();
+  StampSuspicions(ack.get());
+  ack->kind = EnvelopeKind::kAck;
+  ++counters_.acks_sent;
+  SendEnvelope(to, std::move(ack));
 }
 
 // --- Algorithm 3: committing preparing transactions ---------------------------

@@ -63,6 +63,8 @@ struct NodeCounters {
   uint64_t aborts_liveness = 0;     ///< Grace-time invalidation (Rule 3).
   uint64_t records_ingested = 0;
   uint64_t envelopes_sent = 0;
+  uint64_t acks_sent = 0;            ///< Rule 3 receipt acks (f > 0 only);
+                                     ///< also counted in envelopes_sent.
   uint64_t refusals_issued = 0;
   uint64_t read_only_txns = 0;
   // Gray-failure health machinery (config.health).
@@ -98,6 +100,7 @@ struct NodeCounters {
     aborts_liveness += o.aborts_liveness;
     records_ingested += o.records_ingested;
     envelopes_sent += o.envelopes_sent;
+    acks_sent += o.acks_sent;
     refusals_issued += o.refusals_issued;
     read_only_txns += o.read_only_txns;
     suspicions += o.suspicions;
@@ -454,6 +457,9 @@ class HeliosNode {
   void ProcessFinalizeStaged(const TxnId& id, bool commit,
                              Timestamp commit_ts);
   void ProcessEnvelope(const Envelope& env);
+  /// Rule 3's receipt acknowledgment: sends `to` our partial log for it,
+  /// with the refusals and suspicions we hold, at once (EnvelopeKind::kAck).
+  void SendAck(DcId to);
 
   /// Shared tail of Algorithm 1 (lines 2-10) for both the local and the
   /// staged admission path: conflict/overwritten checks, timestamping, the

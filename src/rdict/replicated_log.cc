@@ -1,9 +1,17 @@
 #include "rdict/replicated_log.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
 namespace helios::rdict {
+
+namespace {
+
+bool TsBefore(const LogRecord& rec, Timestamp ts) { return rec.ts < ts; }
+bool TsAfter(Timestamp ts, const LogRecord& rec) { return ts < rec.ts; }
+
+}  // namespace
 
 std::string LogRecord::ToString() const {
   char buf[128];
@@ -23,11 +31,16 @@ ReplicatedLog::ReplicatedLog(DcId self, int n)
 }
 
 bool ReplicatedLog::InsertRecord(const LogRecord& rec) {
-  const auto [it, inserted] =
-      by_origin_[static_cast<size_t>(rec.origin)].emplace(rec.ts, rec);
-  (void)it;
-  if (inserted) ++live_count_;
-  return inserted;
+  OriginLog& log = by_origin_[static_cast<size_t>(rec.origin)];
+  if (log.empty() || log.back().ts < rec.ts) {
+    log.push_back(rec);
+  } else {
+    const auto it = std::lower_bound(log.begin(), log.end(), rec.ts, TsBefore);
+    if (it != log.end() && it->ts == rec.ts) return false;
+    log.insert(it, rec);
+  }
+  ++live_count_;
+  return true;
 }
 
 Status ReplicatedLog::AppendLocal(const LogRecord& rec) {
@@ -50,17 +63,29 @@ void ReplicatedLog::MergeSuffixes(
   // K-way merge by (ts, origin) — k = cluster size, so linear selection
   // per emitted record beats a heap for realistic n. Origin index order
   // breaks timestamp ties, matching RecordOrder.
-  std::vector<OriginLog::const_iterator> cursor = from;
-  for (;;) {
-    int best = -1;
-    for (DcId o = 0; o < n_; ++o) {
-      if (cursor[o] == by_origin_[static_cast<size_t>(o)].end()) continue;
-      if (best < 0 || cursor[o]->first < cursor[best]->first) best = o;
-    }
-    if (best < 0) return;
-    out->push_back(cursor[best]->second);
-    ++cursor[best];
+  std::vector<OriginLog::const_iterator> cursor;
+  std::vector<OriginLog::const_iterator> end;
+  size_t total = 0;
+  for (DcId o = 0; o < n_; ++o) {
+    const OriginLog& log = by_origin_[static_cast<size_t>(o)];
+    if (from[o] == log.end()) continue;
+    cursor.push_back(from[o]);
+    end.push_back(log.end());
+    total += static_cast<size_t>(log.end() - from[o]);
   }
+  out->reserve(out->size() + total);
+  while (cursor.size() > 1) {
+    size_t best = 0;
+    for (size_t c = 1; c < cursor.size(); ++c) {
+      if (cursor[c]->ts < cursor[best]->ts) best = c;
+    }
+    out->push_back(*cursor[best]);
+    if (++cursor[best] == end[best]) {
+      cursor.erase(cursor.begin() + static_cast<std::ptrdiff_t>(best));
+      end.erase(end.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+  }
+  if (!cursor.empty()) out->insert(out->end(), cursor[0], end[0]);
 }
 
 void ReplicatedLog::BuildMessageInto(DcId peer, LogMessage* out) const {
@@ -71,8 +96,9 @@ void ReplicatedLog::BuildMessageInto(DcId peer, LogMessage* out) const {
   // ts <= T[peer][origin]; only the suffix above that bound is sent.
   std::vector<OriginLog::const_iterator> from(static_cast<size_t>(n_));
   for (DcId origin = 0; origin < n_; ++origin) {
-    from[origin] = by_origin_[static_cast<size_t>(origin)].upper_bound(
-        table_.Get(peer, origin));
+    const OriginLog& log = by_origin_[static_cast<size_t>(origin)];
+    from[origin] = std::upper_bound(log.begin(), log.end(),
+                                    table_.Get(peer, origin), TsAfter);
   }
   MergeSuffixes(from, &out->records);
 }
@@ -122,9 +148,9 @@ size_t ReplicatedLog::GarbageCollect() {
   // the per-origin prefix.
   for (DcId origin = 0; origin < n_; ++origin) {
     OriginLog& log = by_origin_[static_cast<size_t>(origin)];
-    const auto end = log.upper_bound(table_.MinColumn(origin));
-    for (auto it = log.begin(); it != end;) {
-      it = log.erase(it);
+    const Timestamp known = table_.MinColumn(origin);
+    while (!log.empty() && log.front().ts <= known) {
+      log.pop_front();
       ++dropped;
     }
   }

@@ -9,19 +9,22 @@
 // ones) and the timetable. Records known by every datacenter can be
 // garbage-collected.
 //
-// Storage is one ordered map per origin, keyed by timestamp. Because the
-// timetable bounds what a peer has *per origin* (T[peer][origin] >= ts),
-// building a partial log is an upper_bound per origin plus a k-way merge
-// of the suffixes — proportional to the records actually sent, not to
-// every live record. Garbage collection is likewise a prefix erase per
-// origin. The merge emits records in ascending (ts, origin) order, the
-// exact order the old single-map representation produced.
+// Storage is one deque per origin in ascending timestamp order. An
+// origin's records reach every log in that order (own appends take
+// increasing timestamps, and a partial log carries each origin's records
+// above what the receiver already knows), so inserting is an append.
+// Because the timetable bounds what a peer has *per origin*
+// (T[peer][origin] >= ts), building a partial log is a binary search per
+// origin plus a k-way merge of the suffixes — proportional to the records
+// actually sent, not to every live record, and over contiguous storage.
+// Garbage collection is likewise a prefix pop per origin. The merge emits
+// records in ascending (ts, origin) order.
 
 #ifndef HELIOS_RDICT_REPLICATED_LOG_H_
 #define HELIOS_RDICT_REPLICATED_LOG_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -100,7 +103,8 @@ class ReplicatedLog {
   std::vector<LogRecord> Snapshot() const;
 
  private:
-  using OriginLog = std::map<Timestamp, LogRecord>;
+  /// One origin's live records, in ascending timestamp order.
+  using OriginLog = std::deque<LogRecord>;
 
   /// Appends every record from per-origin suffixes starting at `from[o]`
   /// to `out` in ascending (ts, origin) order.
@@ -108,7 +112,8 @@ class ReplicatedLog {
                      std::vector<LogRecord>* out) const;
 
   /// Inserts unless a record with that (origin, ts) already exists.
-  /// Returns whether it inserted.
+  /// Returns whether it inserted. An append in the common case; only
+  /// recovery can insert below an origin's newest record.
   bool InsertRecord(const LogRecord& rec);
 
   DcId self_;

@@ -111,27 +111,51 @@ Status Decoder::GetBool(bool* out) {
 
 namespace {
 
-// Table-driven CRC-32 (reflected, polynomial 0xEDB88320).
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Table-driven CRC-32 (reflected, polynomial 0xEDB88320), sliced by 8:
+// t[0] is the byte-at-a-time table, and t[k] carries t[0]'s entry through
+// k more zero bytes.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
 
+/// Little-endian 32-bit load, independent of the host's byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t len) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table.entries[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  size_t i = 0;
+  // Eight bytes per step: frames run to tens of KB, where a byte per step
+  // made the checksum the costliest function in the wire's own code.
+  for (; i + 8 <= len; i += 8) {
+    const uint32_t lo = crc ^ LoadLe32(data + i);
+    const uint32_t hi = LoadLe32(data + i + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; i < len; ++i) {
+    crc = t[0][(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

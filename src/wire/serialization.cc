@@ -16,6 +16,8 @@ constexpr uint64_t kMaxDatacenters = 1 << 10;
 constexpr uint8_t kKindMask = 0x03;
 constexpr uint8_t kHasSuspicions = 0x40;
 constexpr uint8_t kHasApparentDelay = 0x80;
+static_assert(static_cast<uint8_t>(core::EnvelopeKind::kAck) == kKindMask,
+              "every envelope kind fits the trailer's kind bits");
 
 }  // namespace
 
@@ -274,12 +276,11 @@ Status DecodeEnvelope(Decoder* dec, core::Envelope* out) {
   uint8_t trailer = 0;
   s = dec->GetU8(&trailer);
   if (!s.ok()) return s;
-  const uint8_t kind = trailer & kKindMask;
-  if ((trailer & ~(kKindMask | kHasSuspicions | kHasApparentDelay)) != 0 ||
-      kind > static_cast<uint8_t>(core::EnvelopeKind::kCatchupResponse)) {
+  // The kind bits have no invalid value: kAck takes the last one.
+  if ((trailer & ~(kKindMask | kHasSuspicions | kHasApparentDelay)) != 0) {
     return Status::InvalidArgument("bad envelope trailer");
   }
-  env.kind = static_cast<core::EnvelopeKind>(kind);
+  env.kind = static_cast<core::EnvelopeKind>(trailer & kKindMask);
   if ((trailer & kHasSuspicions) != 0) {
     uint64_t suspicions = 0;
     s = dec->GetVarint(&suspicions);

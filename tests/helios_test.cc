@@ -1,16 +1,17 @@
 // Integration tests for the Helios commit protocol: commit waits, conflict
 // detection (the Figure 2 scenarios), Rule 1's integer edge,
 // serializability under contention and clock skew, liveness under
-// datacenter outages (Rule 3), replica convergence, read-only
-// transactions, the reply point of a commit and what its apply I/O and an
-// fsync stall cost the server, and the timestamps records take in a
-// node's log.
+// datacenter outages (Rule 3) and its receipt acknowledgments, replica
+// convergence, read-only transactions, the reply point of a commit and
+// what its apply I/O and an fsync stall cost the server, and the
+// timestamps records take in a node's log.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +19,10 @@
 #include "common/random.h"
 #include "core/helios_cluster.h"
 #include "core/history.h"
+#include "harness/experiment.h"
+#include "harness/topology.h"
 #include "obs/trace.h"
+#include "sim/clock.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 #include "sim/service_queue.h"
@@ -505,6 +509,236 @@ TEST(HeliosLivenessTest, FaultToleranceOneWaitsForAnAck) {
   ASSERT_TRUE(result.done && result.outcome.committed);
   EXPECT_GE(result.latency, Millis(80));
   EXPECT_LE(result.latency, Millis(105));
+}
+
+// --- Rule 3's receipt acknowledgments ----------------------------------------
+
+/// An envelope from `from` whose one record is a preparing record of
+/// `origin`'s at `ts`, with `from`'s knowledge of `origin` covering it.
+Envelope OnePreparing(DcId from, DcId origin, Timestamp ts, EnvelopeKind kind,
+                      uint64_t seq) {
+  Envelope env(3);
+  env.log.from = from;
+  env.kind = kind;
+  rdict::LogRecord rec;
+  rec.type = rdict::RecordType::kPreparing;
+  rec.ts = ts;
+  rec.origin = origin;
+  rec.body = MakeTxnBody(TxnId{origin, seq}, {},
+                         {{"k" + std::to_string(seq), "v"}});
+  env.log.records.push_back(rec);
+  env.log.table.Set(from, origin, ts);
+  env.log.table.Set(from, from, std::max(ts, env.log.table.Get(from, from)));
+  return env;
+}
+
+// One node driven by hand: gossip carrying the sender's own fresh
+// preparing records is answered at once, to the sender only, with an
+// ordinary partial log that promises nothing new; a relayed record or an
+// ack is not answered; a late record's refusal rides the ack.
+TEST(HeliosAckTest, AcksTheSendersOwnPreparingRecordsOnReceipt) {
+  sim::Scheduler scheduler;
+  sim::Clock clock(&scheduler);
+  HeliosConfig cfg = BaseConfig(3);
+  cfg.fault_tolerance = 1;
+  std::vector<std::pair<DcId, EnvelopePtr>> sent;
+  HeliosNode node(0, cfg, LogProtocolKind::kHelios, &scheduler, &clock,
+                  [&sent](DcId to, const EnvelopePtr& env) {
+                    sent.emplace_back(to, env);
+                  });
+  const auto deliver = [&](Envelope env) {
+    node.HandleEnvelope(std::move(env));
+    scheduler.RunUntil(scheduler.Now() + Millis(1));
+  };
+  const Timestamp promised = node.log().KnownUpTo(0);
+
+  deliver(OnePreparing(1, 1, Millis(1), EnvelopeKind::kGossip, 1));
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].first, 1);
+  const Envelope& ack = *sent[0].second;
+  EXPECT_EQ(ack.kind, EnvelopeKind::kAck);
+  EXPECT_GE(ack.log.table.Get(0, 1), Millis(1));  // Rule 3 condition (2).
+  EXPECT_EQ(ack.log.table.Get(0, 0), promised);   // No new promise.
+  EXPECT_EQ(node.log().KnownUpTo(0), promised);
+  EXPECT_TRUE(ack.refusals.empty());
+  EXPECT_FALSE(ack.apparent_delay_us.has_value());
+  EXPECT_EQ(node.counters().acks_sent, 1u);
+  EXPECT_EQ(node.counters().envelopes_sent, 1u);
+
+  // An ack is never acknowledged, and neither is a relayed record.
+  deliver(OnePreparing(2, 2, Millis(2), EnvelopeKind::kAck, 2));
+  deliver(OnePreparing(2, 1, Millis(3), EnvelopeKind::kGossip, 3));
+  EXPECT_EQ(sent.size(), 1u);
+
+  // Past the grace time the record is refused, and the ack carries the
+  // refusal back to its origin.
+  scheduler.RunUntil(Millis(100) + cfg.grace_time + Millis(1));
+  deliver(OnePreparing(1, 1, Millis(100), EnvelopeKind::kGossip, 4));
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[1].first, 1);
+  EXPECT_EQ(sent[1].second->kind, EnvelopeKind::kAck);
+  EXPECT_NE(std::find(sent[1].second->refusals.begin(),
+                      sent[1].second->refusals.end(),
+                      Refusal{0, TxnId{1, 4}, Millis(100)}),
+            sent[1].second->refusals.end());
+
+  // f = 0 has no Rule 3 and never acks.
+  cfg.fault_tolerance = 0;
+  HeliosNode helios0(0, cfg, LogProtocolKind::kHelios, &scheduler, &clock,
+                     [&sent](DcId to, const EnvelopePtr& env) {
+                       sent.emplace_back(to, env);
+                     });
+  helios0.HandleEnvelope(
+      OnePreparing(1, 1, scheduler.Now(), EnvelopeKind::kGossip, 5));
+  scheduler.RunUntil(scheduler.Now() + Millis(1));
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(helios0.counters().acks_sent, 0u);
+}
+
+/// example3 (A–B 30 ms, A–C 20 ms, B–C 40 ms, no jitter) with its MAO
+/// offsets (A 5, B 25, C 15 ms) and a 10 ms log interval: A ticks at every
+/// multiple of 10 ms, B 3.3 ms and C 6.7 ms later.
+std::unique_ptr<TestRig> MakeExample3Rig(int fault_tolerance) {
+  const harness::Topology topo = harness::PaperExampleTopology();
+  HeliosConfig cfg = BaseConfig(3);
+  cfg.log_interval = Millis(10);
+  cfg.fault_tolerance = fault_tolerance;
+  cfg.commit_offsets = harness::PlanCommitOffsets(topo, std::nullopt);
+  auto rig = std::make_unique<TestRig>();
+  rig->network = std::make_unique<sim::Network>(&rig->scheduler, 3, 1);
+  harness::ConfigureNetwork(topo, rig->network.get());
+  rig->cluster = std::make_unique<HeliosCluster>(
+      &rig->scheduler, rig->network.get(), std::move(cfg));
+  return rig;
+}
+
+// A lone Helios-1 transaction at A. Its Rule-2 wait ends by about 1008 ms;
+// Rule 3 needs one acknowledgment, and C, A's nearest peer, gives it.
+// Submitted just after A's tick at 1000 ms, the record waits out A's next
+// tick and reaches C at 1020 ms. C acknowledges at once, so the commit
+// fits in RTT(A,C) + one interval + the client links + the service on the
+// path. Acknowledging on C's next tick, at 1026.7 ms, would miss the bound
+// by about 6 ms.
+TEST(HeliosAckTest, LoneCommitWaitsOneRoundTripToTheNearestPeer) {
+  auto rig = MakeExample3Rig(/*fault_tolerance=*/1);
+  const HeliosConfig& cfg = rig->cluster->config();
+  rig->cluster->Start();
+  CommitResult result;
+  rig->scheduler.At(Micros(1000100), [&] {
+    AsyncCommit(*rig, 0, {}, {{"x", "1"}}, &result);
+  });
+  rig->scheduler.RunUntil(Seconds(2));
+  ASSERT_TRUE(result.done && result.outcome.committed);
+  // Algorithm 1 at A, C's ingest of the record, A's ingest of the ack.
+  const Duration service =
+      cfg.service.commit_request + 2 * cfg.service.log_message;
+  EXPECT_LE(result.latency, Millis(20) + cfg.log_interval +
+                                2 * cfg.client_link_one_way + service);
+  EXPECT_GE(result.latency, Millis(20));
+  // B and C each acknowledge the one gossip carrying the record.
+  EXPECT_EQ(rig->cluster->node(0).counters().acks_sent, 0u);
+  EXPECT_EQ(rig->cluster->node(1).counters().acks_sent, 1u);
+  EXPECT_EQ(rig->cluster->node(2).counters().acks_sent, 1u);
+}
+
+/// q of C's first preparing record when C's client submits at 1021.5 ms,
+/// after C acknowledged (or, without A's transaction, had nothing to
+/// acknowledge) and before C's next tick at 1026.7 ms.
+struct AckerTimestamp {
+  Timestamp q = kMinTimestamp;
+  uint64_t acks_before = 0;
+};
+
+AckerTimestamp CRecordTs(bool a_commits) {
+  auto rig = MakeExample3Rig(/*fault_tolerance=*/1);
+  rig->cluster->Start();
+  CommitResult at_a;
+  CommitResult at_c;
+  AckerTimestamp out;
+  if (a_commits) {
+    rig->scheduler.At(Micros(1000100), [&] {
+      AsyncCommit(*rig, 0, {}, {{"x", "1"}}, &at_a);
+    });
+  }
+  rig->scheduler.At(Micros(1021500), [&] {
+    out.acks_before = rig->cluster->node(2).counters().acks_sent;
+    AsyncCommit(*rig, 2, {}, {{"y", "1"}}, &at_c);
+  });
+  rig->scheduler.RunUntil(Seconds(2));
+  EXPECT_TRUE(at_c.done && at_c.outcome.committed);
+  for (const rdict::LogRecord& rec :
+       rig->cluster->wal_journal(2, 0)->contents().records) {
+    if (rec.origin == 2 && rec.type == rdict::RecordType::kPreparing) {
+      out.q = rec.ts;
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(HeliosAckTest, AnAckDoesNotMoveTheAckersNextTimestamp) {
+  const AckerTimestamp acked = CRecordTs(/*a_commits=*/true);
+  const AckerTimestamp quiet = CRecordTs(/*a_commits=*/false);
+  EXPECT_EQ(acked.acks_before, 1u);
+  EXPECT_EQ(quiet.acks_before, 0u);
+  ASSERT_NE(quiet.q, kMinTimestamp);
+  // Both take the first instant after C's tick promise at 1016.7 ms.
+  EXPECT_LT(quiet.q, Millis(1020));
+  EXPECT_EQ(acked.q, quiet.q);
+}
+
+// Acks answer gossip only, so under contention no node sends a peer more
+// acks than that peer sent it gossip: no ack answers an ack, and there is
+// no ping-pong. An f = 0 deployment never acks at all.
+TEST(HeliosAckTest, AcksNeverOutnumberTheGossipThatTriggersThem) {
+  for (int f : {0, 1}) {
+    ContentionOptions opt;
+    opt.run_for = Seconds(5);
+    HeliosConfig cfg = BaseConfig(opt.num_dcs);
+    cfg.fault_tolerance = f;
+    auto rig = MakeUniformRig(opt.num_dcs, opt.rtt, std::move(cfg));
+    // The k-th env.send trace event and the k-th sizer call are the same
+    // send: HeliosNode traces it just before handing it to the cluster.
+    obs::TraceRecorder trace;
+    rig->cluster->SetObservability(&trace, nullptr);
+    std::vector<EnvelopeKind> kinds;
+    rig->cluster->set_envelope_sizer([&kinds](const Envelope& env) {
+      kinds.push_back(env.kind);
+      return size_t{0};
+    });
+    const ContentionOutcome out = RunContentionWorkload(*rig, opt);
+    EXPECT_GT(out.commits, 100u);
+    ASSERT_EQ(trace.dropped(), 0u);
+
+    std::map<std::pair<DcId, DcId>, uint64_t> gossip;  // (from, to).
+    std::map<std::pair<DcId, DcId>, uint64_t> acks;
+    size_t k = 0;
+    for (const obs::TraceEvent& e : trace.Events()) {
+      if (e.kind != obs::EventKind::kEnvelopeSend) continue;
+      ASSERT_LT(k, kinds.size());
+      const EnvelopeKind kind = kinds[k++];
+      if (kind == EnvelopeKind::kGossip) ++gossip[{e.dc, e.peer}];
+      if (kind == EnvelopeKind::kAck) ++acks[{e.dc, e.peer}];
+    }
+    EXPECT_EQ(k, kinds.size());
+    for (DcId x = 0; x < opt.num_dcs; ++x) {
+      uint64_t acked = 0;
+      for (DcId y = 0; y < opt.num_dcs; ++y) {
+        if (y == x) continue;
+        const uint64_t sent_acks = acks[{x, y}];
+        const uint64_t heard = gossip[{y, x}];
+        EXPECT_LE(sent_acks, heard) << "dc" << x << " to dc" << y;
+        acked += sent_acks;
+      }
+      const uint64_t counted = rig->cluster->node(x).counters().acks_sent;
+      EXPECT_EQ(counted, acked) << "dc" << x;
+      if (f == 0) {
+        EXPECT_EQ(counted, 0u) << "dc" << x;
+      } else {
+        EXPECT_GT(counted, 0u) << "dc" << x;
+      }
+    }
+  }
 }
 
 TEST(HeliosLivenessTest, Helios0BlocksWhenADatacenterFails) {

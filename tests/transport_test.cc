@@ -329,6 +329,35 @@ TEST(LiveDatacenterTest, CommitOverRealSockets) {
   cluster.Stop();
 }
 
+// Helios-1 over real sockets: Rule 3 holds each commit until a peer
+// acknowledged it, and the acks cross the wire as their own envelope kind.
+TEST(LiveDatacenterTest, Helios1CommitsAndAcknowledgesOverRealSockets) {
+  LiveCluster cluster(3, /*inbound_delay=*/Millis(5), /*fault_tolerance=*/1);
+  cluster.Start();
+  for (DcId dc = 0; dc < 3; ++dc) {
+    const std::string key = "k" + std::to_string(dc);
+    const CommitOutcome outcome = cluster.dcs[dc]->CommitSync({}, {{key, "v"}});
+    EXPECT_TRUE(outcome.committed) << "dc" << dc << ": "
+                                   << outcome.abort_reason;
+  }
+  // Every write replicates everywhere, and every node acknowledged the
+  // preparing records its two peers gossiped to it.
+  for (DcId dc = 0; dc < 3; ++dc) {
+    for (DcId writer = 0; writer < 3; ++writer) {
+      const std::string key = "k" + std::to_string(writer);
+      for (int attempt = 0;; ++attempt) {
+        const auto r = cluster.dcs[dc]->ReadSync(key);
+        if (r.ok()) break;
+        ASSERT_LT(attempt, 100) << key << " never reached dc" << dc;
+        std::this_thread::sleep_for(10ms);
+      }
+    }
+    EXPECT_GT(cluster.dcs[dc]->CountersSnapshot().acks_sent, 0u)
+        << "dc" << dc;
+  }
+  cluster.Stop();
+}
+
 TEST(LiveDatacenterTest, ConflictingLiveTransactionsNeverBothCommit) {
   LiveCluster cluster(2, /*inbound_delay=*/Millis(20));
   cluster.Start();

@@ -129,6 +129,31 @@ TEST(Crc32Test, KnownVector) {
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(data), 9), 0xCBF43926u);
 }
 
+// Eight bytes per step must agree with the byte-at-a-time definition at
+// every length and alignment, tails included.
+TEST(Crc32Test, MatchesTheBytewiseDefinition) {
+  const auto bytewise = [](const uint8_t* p, size_t len) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < len; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  Rng rng(99);
+  std::vector<uint8_t> data(300);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len + offset <= data.size(); len += 1 + len / 8) {
+      EXPECT_EQ(Crc32(data.data() + offset, len),
+                bytewise(data.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(Crc32Test, DetectsBitFlips) {
   std::vector<uint8_t> data(64, 0xAB);
   const uint32_t original = Crc32(data);
@@ -309,6 +334,48 @@ TEST(SerializationTest, UnknownTrailerBitsAreRejected) {
   EncodeEnvelope(SampleEnvelope(), &w);
   std::vector<uint8_t> bytes = buf.ToVector();
   bytes.push_back(0x20);  // No such section.
+  Decoder dec(bytes);
+  core::Envelope out(1);
+  EXPECT_FALSE(DecodeEnvelope(&dec, &out).ok());
+}
+
+TEST(SerializationTest, AckRoundTripsAloneAndWithTheOtherTrailingSections) {
+  core::Envelope env = SampleEnvelope();
+  env.kind = core::EnvelopeKind::kAck;
+  core::Envelope out = RoundTrip(env);
+  EXPECT_EQ(out.kind, core::EnvelopeKind::kAck);
+  EXPECT_EQ(out.log.table, env.log.table);
+  EXPECT_EQ(out.refusals, env.refusals);
+  EXPECT_TRUE(out.suspicions.empty());
+  EXPECT_FALSE(out.apparent_delay_us.has_value());
+  env.suspicions = {core::Suspicion{0, 4242}, core::Suspicion{1, 17}};
+  env.apparent_delay_us = -Millis(3);
+  out = RoundTrip(env);
+  EXPECT_EQ(out.kind, core::EnvelopeKind::kAck);
+  EXPECT_EQ(out.suspicions, env.suspicions);
+  EXPECT_EQ(out.apparent_delay_us, env.apparent_delay_us);
+  const auto framed = UnframeEnvelope(Framed(env));
+  ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+  EXPECT_EQ(framed.value().kind, core::EnvelopeKind::kAck);
+}
+
+TEST(SerializationTest, AckIsOneTrailerByteLargerThanGossip) {
+  core::Envelope env = SampleEnvelope();
+  const size_t gossip = EncodedEnvelopeSize(env);
+  env.kind = core::EnvelopeKind::kAck;
+  EXPECT_EQ(EncodedEnvelopeSize(env), gossip + 1);
+}
+
+TEST(SerializationTest, TruncatedAckTrailerIsRejected) {
+  core::Envelope env = SampleEnvelope();
+  env.kind = core::EnvelopeKind::kAck;
+  env.suspicions = {core::Suspicion{1, 4242}};
+  Buffer buf;
+  Writer w(&buf);
+  EncodeEnvelope(env, &w);
+  std::vector<uint8_t> bytes = buf.ToVector();
+  // Cut inside the suspicion section the trailer byte announces.
+  bytes.pop_back();
   Decoder dec(bytes);
   core::Envelope out(1);
   EXPECT_FALSE(DecodeEnvelope(&dec, &out).ok());
