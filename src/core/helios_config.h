@@ -13,7 +13,9 @@ namespace helios::core {
 /// Service-time model shared by Helios and the baselines: how long the
 /// single-threaded server at a datacenter is occupied by each kind of work.
 /// This is the paper's "compute overhead" (Appendix A.1) and is what caps
-/// peak throughput in Figure 4.
+/// peak throughput in Figure 4. It is the simulator's cost model, standing
+/// in for the paper's HBase I/O; a live node (transport::LiveDatacenter)
+/// runs with every cost at zero and pays its real CPU and disk instead.
 struct ServiceModel {
   Duration read = Micros(60);              ///< Serve one client read.
   Duration commit_request = Micros(100);   ///< Run Algorithm 1.
@@ -74,6 +76,8 @@ struct HeliosConfig {
   /// Period of log / store garbage collection. <= 0 disables GC.
   Duration gc_interval = Millis(500);
 
+  /// The simulator's cost model (Fig. 4's plateau); the live path ignores
+  /// it.
   ServiceModel service;
 
   /// Per-datacenter clock offsets (for Figure 5 skew experiments); empty

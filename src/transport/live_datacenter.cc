@@ -9,11 +9,29 @@
 #include "wire/serialization.h"
 
 namespace helios::transport {
+namespace {
+
+/// `config` with every modeled service cost at zero: a live node's
+/// service time is the CPU it really spends, and each ServiceQueue unit
+/// completes in the loop pass that submits it.
+core::HeliosConfig WithRealServiceTime(core::HeliosConfig config) {
+  config.service = core::ServiceModel{.read = 0,
+                                      .commit_request = 0,
+                                      .log_record = 0,
+                                      .log_message = 0,
+                                      .write_apply = 0,
+                                      .lock_op = 0};
+  return config;
+}
+
+}  // namespace
 
 LiveDatacenter::LiveDatacenter(DcId id, core::HeliosConfig config,
                                Duration inbound_delay,
                                core::LogProtocolKind kind)
-    : id_(id), config_(std::move(config)), inbound_delay_(inbound_delay) {
+    : id_(id),
+      config_(WithRealServiceTime(std::move(config))),
+      inbound_delay_(inbound_delay) {
   const Duration offset =
       config_.clock_offsets.empty()
           ? 0
@@ -64,14 +82,18 @@ Status LiveDatacenter::EnableWal(const std::string& path,
   wal_ = std::make_unique<wal::FileWal>();
   Status opened = wal_->Open(path, opts);
   if (!opened.ok()) return opened;
+  // Fail-stop: a record the node could not journal may already be known
+  // to peers and clients, and a restart must never forget it.
   node_->set_record_sink([this](const rdict::LogRecord& rec) {
-    (void)wal_->AppendRecord(rec);
+    const Status s = wal_->AppendRecord(rec);
+    HELIOS_CHECK(s.ok(), "dc" + std::to_string(id_) + ": " + s.ToString());
   });
   // Periodic knowledge checkpoint (the node emits one per GC tick): lets
   // Restore resume catch-up from the snapshot instead of replaying the
   // timetable from zero.
   node_->set_timetable_sink([this](const rdict::Timetable& t) {
-    (void)wal_->AppendTimetable(t);
+    const Status s = wal_->AppendTimetable(t);
+    HELIOS_CHECK(s.ok(), "dc" + std::to_string(id_) + ": " + s.ToString());
   });
   return Status::Ok();
 }
@@ -287,6 +309,25 @@ core::ClockStepStats LiveDatacenter::clock_snapshot() {
 RecoveryStats LiveDatacenter::recovery_snapshot() const {
   std::lock_guard<std::mutex> lock(recovery_mu_);
   return recovery_;
+}
+
+WalStats LiveDatacenter::wal_snapshot() {
+  WalStats out;
+  if (wal_ == nullptr) return out;
+  out.enabled = true;
+  out.fsyncs = wal_->fsyncs();
+  out.fsync_us_total = wal_->fsync_us_total();
+  out.fsync_us_max = wal_->fsync_us_max();
+  const auto collect = [this, &out]() {
+    out.bytes_written = wal_->bytes_written();
+    out.entries_appended = wal_->entries_appended();
+  };
+  if (started_) {
+    loop_.PostAndWait(collect);
+  } else {
+    collect();
+  }
+  return out;
 }
 
 }  // namespace helios::transport

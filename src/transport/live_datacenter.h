@@ -8,11 +8,19 @@
 // actually lives on one machine.
 //
 // Live-mode hardening on top of the bare engine:
+//  * Real service time: the node runs with every ServiceModel cost at
+//    zero, so its service time is the CPU it really spends. The model in
+//    HeliosConfig::service is the simulator's stand-in for storage I/O
+//    and would otherwise add modeled sleeps to a path that already pays
+//    the real costs.
 //  * Durability: EnableWal(path, FileWalOptions) journals through a
-//    wal::FileWal (configurable fsync policy) and recovers crash-
+//    wal::FileWal (configurable fsync policy; group commit fsyncs on the
+//    WAL's own thread, off the event loop) and recovers crash-
 //    consistently on restart — torn tails are truncated, and after
 //    Start() the node pulls the log suffix it missed from peers
-//    (anti-entropy catch-up) before serving commits.
+//    (anti-entropy catch-up) before serving commits. A failed append
+//    stops the process: a record peers or clients already heard of
+//    must never go unjournaled.
 //  * Clock discipline: the node's clock steps forward until the apparent
 //    one-way delays to and from its peers are symmetric (core::
 //    ClockDiscipline), so processes started at different instants, a
@@ -65,6 +73,17 @@ struct HealthSnapshot {
   std::vector<bool> suspected;    ///< Currently past the phi threshold.
 };
 
+/// WAL counters (exported as wal.* metrics by heliosd). Empty (enabled =
+/// false) when the datacenter runs without a WAL.
+struct WalStats {
+  bool enabled = false;
+  uint64_t bytes_written = 0;
+  uint64_t entries_appended = 0;
+  uint64_t fsyncs = 0;          ///< fsync() calls issued.
+  uint64_t fsync_us_total = 0;  ///< Wall time in fsync(), summed.
+  uint64_t fsync_us_max = 0;    ///< The slowest fsync().
+};
+
 /// Overload counters (exported as overload.* metrics by heliosd).
 struct OverloadStats {
   uint64_t admitted = 0;  ///< Commit requests accepted into the node.
@@ -89,6 +108,8 @@ class LiveDatacenter {
   /// policy and, if the file already has contents, recovers the node's
   /// state from it (truncating a torn tail). Call before Start; after
   /// Start() a recovered node additionally catches up from its peers.
+  /// From then on a failed append, or a failed fsync surfaced by the next
+  /// append, aborts the process (HELIOS_CHECK).
   Status EnableWal(const std::string& path, const wal::FileWalOptions& opts);
 
   /// Arms overload protection for Commit(). With a full in-flight budget
@@ -148,6 +169,10 @@ class LiveDatacenter {
   /// Crash-recovery totals: what EnableWal replayed plus what catch-up
   /// pulled from peers (thread-safe).
   RecoveryStats recovery_snapshot() const;
+
+  /// WAL counters: the fsync figures straight from the WAL's atomics, the
+  /// byte and entry counts synchronized through the loop.
+  WalStats wal_snapshot();
 
   /// Partition control (chaos-in-production): administratively refuse the
   /// connection to `peer` / lift the refusal. Thread-safe.

@@ -37,18 +37,24 @@ FileWal::~FileWal() { Close(); }
 Status FileWal::Open(const std::string& path, const FileWalOptions& options) {
   Close();
   options_ = options;
-  dirty_ = false;
-  last_fsync_ = std::chrono::steady_clock::now();
+  dirty_.store(false);
+  sync_errno_.store(0);
   file_ = std::fopen(path.c_str(), "ab");
   if (file_ == nullptr) {
     return Status::Internal("cannot open WAL " + path + ": " +
                             std::strerror(errno));
+  }
+  fd_ = ::fileno(file_);
+  if (options_.policy == SyncPolicy::kGroupCommit) {
+    stop_syncer_ = false;
+    syncer_ = std::thread([this]() { RunSyncer(); });
   }
   return Status::Ok();
 }
 
 Status FileWal::AppendEntry(EntryType type, const EncodePayloadFn& encode) {
   if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");
+  if (Status s = SyncError(); !s.ok()) return s;
   // Single-buffer framing: the payload is encoded in place after a
   // fixed-width length placeholder that is patched once the size is
   // known, so one reused buffer and one fwrite cover the whole entry.
@@ -65,11 +71,31 @@ Status FileWal::AppendEntry(EntryType type, const EncodePayloadFn& encode) {
   w.PutFixed32(wire::Crc32(scratch_.data() + payload_at, payload_len));
   if (std::fwrite(scratch_.data(), 1, scratch_.size(), file_) !=
       scratch_.size()) {
-    return Status::Internal("WAL write failed");
+    return Status::Internal(std::string("WAL write failed: ") +
+                            std::strerror(errno));
   }
   ++entries_appended_;
   bytes_written_ += scratch_.size();
-  return AfterAppend();
+  // Every policy hands the bytes to the OS before returning, so they
+  // survive the death of the process.
+  if (Status s = Flush(); !s.ok()) return s;
+  switch (options_.policy) {
+    case SyncPolicy::kEveryRecord:
+      return Fsync();
+    case SyncPolicy::kGroupCommit:
+      // The syncer fsyncs within one interval. Only the first append
+      // since the last fsync wakes it: while the flag is set, an fsync
+      // is still to start, and it covers this append.
+      if (!dirty_.load()) {
+        std::lock_guard<std::mutex> lock(syncer_mu_);
+        dirty_.store(true);
+        syncer_cv_.notify_one();
+      }
+      return Status::Ok();
+    case SyncPolicy::kOsBuffered:
+      return Status::Ok();
+  }
+  return Status::Internal("unreachable");
 }
 
 Status FileWal::AppendRecord(const rdict::LogRecord& record) {
@@ -84,60 +110,91 @@ Status FileWal::AppendTimetable(const rdict::Timetable& table) {
   });
 }
 
-Status FileWal::Flush(bool fsync_to_disk) {
-  if (std::fflush(file_) != 0) return Status::Internal("WAL flush failed");
-  if (fsync_to_disk && ::fsync(::fileno(file_)) != 0) {
-    return Status::Internal("WAL fsync failed");
+Status FileWal::Flush() {
+  if (std::fflush(file_) != 0) {
+    return Status::Internal(std::string("WAL flush failed: ") +
+                            std::strerror(errno));
   }
   return Status::Ok();
 }
 
-Status FileWal::AfterAppend() {
-  switch (options_.policy) {
-    case SyncPolicy::kEveryRecord: {
-      Status s = Flush(/*fsync_to_disk=*/true);
-      if (s.ok()) ++fsyncs_;
-      return s;
-    }
-    case SyncPolicy::kGroupCommit: {
-      dirty_ = true;
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_fsync_ < options_.group_commit_interval) {
-        // Flush to the OS so the bytes survive *process* death; the disk
-        // flush waits for the next append past the interval.
-        return Flush(/*fsync_to_disk=*/false);
-      }
-      Status s = Flush(/*fsync_to_disk=*/true);
-      if (s.ok()) {
-        ++fsyncs_;
-        dirty_ = false;
-        last_fsync_ = now;
-      }
-      return s;
-    }
-    case SyncPolicy::kOsBuffered:
-      return Flush(/*fsync_to_disk=*/false);
+Status FileWal::Fsync() {
+  const auto start = std::chrono::steady_clock::now();
+  const int err = ::fsync(fd_) == 0 ? 0 : errno;
+  const auto us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  if (err != 0) {
+    int none = 0;
+    sync_errno_.compare_exchange_strong(none, err);
   }
-  return Status::Internal("unreachable");
+  // Counted after the error is recorded, so whoever sees this fsync
+  // counted also sees its failure.
+  fsyncs_.fetch_add(1);
+  fsync_us_total_.fetch_add(us, std::memory_order_relaxed);
+  uint64_t max = fsync_us_max_.load(std::memory_order_relaxed);
+  while (us > max && !fsync_us_max_.compare_exchange_weak(
+                         max, us, std::memory_order_relaxed)) {
+  }
+  return err == 0 ? Status::Ok() : SyncError();
+}
+
+Status FileWal::SyncError() const {
+  const int err = sync_errno_.load();
+  if (err == 0) return Status::Ok();
+  return Status::Internal(std::string("WAL fsync failed: ") +
+                          std::strerror(err));
+}
+
+void FileWal::RunSyncer() {
+  auto last_fsync = std::chrono::steady_clock::now();
+  std::unique_lock<std::mutex> lock(syncer_mu_);
+  for (;;) {
+    syncer_cv_.wait(lock, [this]() { return stop_syncer_ || dirty_.load(); });
+    // At most one fsync per interval. Close fsyncs whatever is still
+    // dirty once the syncer has stopped.
+    if (syncer_cv_.wait_until(lock,
+                              last_fsync + options_.group_commit_interval,
+                              [this]() { return stop_syncer_; })) {
+      return;
+    }
+    if (!dirty_.load()) continue;  // A SyncToDisk got there first.
+    // Cleared before the fsync starts: an append that lands during it
+    // may not be covered, so that append must leave the file dirty again.
+    dirty_.store(false);
+    last_fsync = std::chrono::steady_clock::now();
+    lock.unlock();
+    (void)Fsync();  // A failure is sticky: the next append returns it.
+    lock.lock();
+  }
 }
 
 Status FileWal::SyncToDisk() {
   if (file_ == nullptr) return Status::FailedPrecondition("WAL not open");
-  Status s = Flush(/*fsync_to_disk=*/true);
-  if (s.ok()) {
-    ++fsyncs_;
-    dirty_ = false;
-    last_fsync_ = std::chrono::steady_clock::now();
+  if (Status s = SyncError(); !s.ok()) return s;
+  if (Status s = Flush(); !s.ok()) return s;
+  {
+    std::lock_guard<std::mutex> lock(syncer_mu_);
+    dirty_.store(false);  // Before the fsync, as in RunSyncer.
   }
-  return s;
+  return Fsync();
 }
 
 void FileWal::Close() {
   if (file_ == nullptr) return;
-  if (dirty_) (void)SyncToDisk();
-  std::fflush(file_);
+  if (syncer_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(syncer_mu_);
+      stop_syncer_ = true;
+    }
+    syncer_cv_.notify_one();
+    syncer_.join();
+  }
+  if (dirty_.load()) (void)SyncToDisk();
   std::fclose(file_);
   file_ = nullptr;
+  fd_ = -1;
 }
 
 namespace {

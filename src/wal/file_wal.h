@@ -19,10 +19,10 @@
 //  * A configurable fsync policy. `kEveryRecord` fsyncs after each append
 //    (a record is durable before the client ever sees "committed";
 //    ~one disk flush per commit). `kGroupCommit` flushes to the OS on
-//    every append but fsyncs only on an append that comes at least
-//    `group_commit_interval` after the last fsync, batching many commits
-//    into one flush. `kOsBuffered` never fsyncs (flush-to-OS only); data
-//    survives process death but not host death.
+//    every append and leaves the fsync to a syncer thread, which batches
+//    many commits into one flush per `group_commit_interval`, off the
+//    appending thread. `kOsBuffered` never fsyncs (flush-to-OS only);
+//    data survives process death but not host death.
 //
 //  * Crash-consistent recovery. `RecoverFileWal` distinguishes the two
 //    corruption shapes a real disk produces: a torn tail (the process died
@@ -36,11 +36,15 @@
 #ifndef HELIOS_WAL_FILE_WAL_H_
 #define HELIOS_WAL_FILE_WAL_H_
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
 #include "rdict/record.h"
@@ -66,12 +70,13 @@ enum class SyncPolicy : uint8_t {
 
 struct FileWalOptions {
   SyncPolicy policy = SyncPolicy::kGroupCommit;
-  /// Minimum spacing of fsyncs under kGroupCommit. FileWal has no timer:
-  /// an append fsyncs (covering every record before it) only if this much
-  /// time has passed since the last fsync, so a record stays un-fsynced
-  /// until the next such append. A running node appends at least a
-  /// timetable checkpoint every GC tick (HeliosConfig::gc_interval,
-  /// 500 ms by default), which bounds that wait.
+  /// Spacing of fsyncs under kGroupCommit. Every append reaches the OS
+  /// before AppendRecord returns; the WAL's syncer thread then fsyncs at
+  /// most once per interval and starts the fsync that covers an append
+  /// within one interval of the first append since the previous fsync.
+  /// No further append is needed, so a node that falls quiet has its
+  /// last records on disk within one interval, not at its next append
+  /// (a GC tick's timetable checkpoint, up to 500 ms away by default).
   std::chrono::microseconds group_commit_interval{5000};
 };
 
@@ -79,8 +84,18 @@ struct FileWalOptions {
 Result<SyncPolicy> ParseSyncPolicy(const std::string& name);
 const char* SyncPolicyName(SyncPolicy policy);
 
-/// File-backed WalSink with a durability policy. Not thread-safe; owned by
-/// the datacenter's event loop like every other sink.
+/// File-backed WalSink with a durability policy. Open, appends and Close
+/// belong to one thread (the datacenter's event loop, like every other
+/// sink); SyncToDisk may also run on another thread while appends do, as
+/// stdio locks the FILE. Under kGroupCommit a syncer thread of the WAL's
+/// own issues the fsyncs; it touches only the file descriptor, the dirty
+/// flag and the fsync counters, never the FILE buffer. The fsync counters
+/// are safe to read from any thread.
+///
+/// The first failed fsync is sticky, whichever thread issued it: every
+/// later append and SyncToDisk returns it, because after a failed fsync
+/// the kernel may already have dropped the dirty pages, so a later
+/// successful fsync proves nothing about the records before it.
 class FileWal : public WalSink {
  public:
   FileWal() = default;
@@ -88,9 +103,10 @@ class FileWal : public WalSink {
   FileWal(const FileWal&) = delete;
   FileWal& operator=(const FileWal&) = delete;
 
-  /// Opens (creating or appending to) the WAL at `path`. Run
-  /// `RecoverFileWal` first on restart: Open appends blindly and a torn
-  /// tail left in place would corrupt the frame stream.
+  /// Opens (creating or appending to) the WAL at `path` and, under
+  /// kGroupCommit, starts the syncer. Run `RecoverFileWal` first on
+  /// restart: Open appends blindly and a torn tail left in place would
+  /// corrupt the frame stream.
   Status Open(const std::string& path, const FileWalOptions& options = {});
 
   /// Appends one replicated-log record.
@@ -100,18 +116,27 @@ class FileWal : public WalSink {
   /// does not have to re-learn it from peers).
   Status AppendTimetable(const rdict::Timetable& table) override;
 
-  /// Forces everything appended so far to disk regardless of policy
-  /// (clean shutdown, pre-dump barrier).
+  /// Forces everything appended so far to disk on the calling thread,
+  /// regardless of policy (clean shutdown, pre-dump barrier).
   Status SyncToDisk();
 
+  /// Stops and joins the syncer, fsyncs what it had not yet synced, and
+  /// closes the file.
   void Close();
   bool is_open() const { return file_ != nullptr; }
   const FileWalOptions& options() const { return options_; }
   uint64_t entries_appended() const override { return entries_appended_; }
   uint64_t bytes_written() const { return bytes_written_; }
   /// fsync() calls actually issued (group commit batches many appends
-  /// into one).
-  uint64_t fsyncs() const { return fsyncs_; }
+  /// into one). Thread-safe, like the two below.
+  uint64_t fsyncs() const { return fsyncs_.load(); }
+  /// Wall time spent in fsync(), summed over every call and at its worst.
+  uint64_t fsync_us_total() const {
+    return fsync_us_total_.load(std::memory_order_relaxed);
+  }
+  uint64_t fsync_us_max() const {
+    return fsync_us_max_.load(std::memory_order_relaxed);
+  }
 
  private:
   using EncodePayloadFn = std::function<void(wire::Writer*)>;
@@ -121,20 +146,39 @@ class FileWal : public WalSink {
   /// then applies the policy.
   Status AppendEntry(EntryType type, const EncodePayloadFn& encode);
 
-  /// Flushes buffered writes to the OS and optionally fsyncs.
-  Status Flush(bool fsync_to_disk);
+  /// Flushes buffered writes to the OS.
+  Status Flush();
 
-  /// Applies the policy after one append.
-  Status AfterAppend();
+  /// fsyncs the descriptor, timing the call and recording a failure as
+  /// the sticky error. Any thread.
+  Status Fsync();
+
+  /// The sticky fsync error, or OK.
+  Status SyncError() const;
+
+  /// The syncer thread's body (kGroupCommit only).
+  void RunSyncer();
 
   std::FILE* file_ = nullptr;
+  int fd_ = -1;
   wire::Buffer scratch_;
   FileWalOptions options_;
   uint64_t entries_appended_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t fsyncs_ = 0;
-  bool dirty_ = false;  ///< Appends since the last fsync.
-  std::chrono::steady_clock::time_point last_fsync_{};
+
+  std::atomic<int> sync_errno_{0};  ///< errno of the first failed fsync.
+  std::atomic<uint64_t> fsyncs_{0};
+  std::atomic<uint64_t> fsync_us_total_{0};
+  std::atomic<uint64_t> fsync_us_max_{0};
+
+  std::mutex syncer_mu_;
+  /// Appends since the last fsync started. Written under syncer_mu_;
+  /// appends read it without the lock, so only the first one since an
+  /// fsync takes it.
+  std::atomic<bool> dirty_{false};
+  bool stop_syncer_ = false;           ///< Guarded by syncer_mu_.
+  std::condition_variable syncer_cv_;  ///< Signals dirt or stop.
+  std::thread syncer_;                 ///< Last: it uses the members above.
 };
 
 /// What recovery found at `path`, beyond the replayed contents.

@@ -1,13 +1,16 @@
 // Tests for the file-backed production WAL (wal::FileWal): fsync-policy
-// behavior, torn-tail repair on a real file, crisp interior-corruption
+// behavior (including the group-commit syncer thread and its sticky
+// errors), torn-tail repair on a real file, crisp interior-corruption
 // errors, recovery equivalence across durability policies, and a random
 // bit-flip/truncation sweep against RecoverFileWal on disk.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "txn/transaction.h"
@@ -155,6 +158,95 @@ TEST(FileWalTest, GroupCommitBatchesFsyncs) {
   EXPECT_EQ(wal.fsyncs(), 1u);
   wal.Close();
   EXPECT_EQ(wal.fsyncs(), 1u) << "Close() after SyncToDisk has no dirt";
+}
+
+/// Polls `wal.fsyncs()` until it reaches `want` or `deadline` passes.
+bool AwaitFsyncs(const FileWal& wal, uint64_t want,
+                 std::chrono::seconds deadline) {
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  while (wal.fsyncs() < want) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+TEST(FileWalTest, GroupCommitFsyncsWithinAnIntervalWithoutAnotherAppend) {
+  // One append and then silence: the syncer alone must make it durable.
+  const std::string path = TempPath("fsync_timer");
+  std::remove(path.c_str());
+  FileWalOptions options;
+  options.policy = SyncPolicy::kGroupCommit;
+  options.group_commit_interval = std::chrono::milliseconds(50);
+  FileWal wal;
+  ASSERT_TRUE(wal.Open(path, options).ok());
+  ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, 1, 1)).ok());
+  EXPECT_TRUE(AwaitFsyncs(wal, 1, std::chrono::seconds(5)))
+      << "no fsync without a further append";
+  wal.Close();
+  std::remove(path.c_str());
+}
+
+TEST(FileWalTest, CloseJoinsTheSyncerAndFsyncsOutstandingDirt) {
+  const std::string path = TempPath("fsync_close");
+  std::remove(path.c_str());
+  FileWalOptions options;
+  options.policy = SyncPolicy::kGroupCommit;
+  options.group_commit_interval = std::chrono::seconds(3600);  // Never due.
+  FileWal wal;
+  ASSERT_TRUE(wal.Open(path, options).ok());
+  for (uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, i, i)).ok());
+  }
+  EXPECT_EQ(wal.fsyncs(), 0u);
+  // Returns at once although the syncer is parked in an hour-long wait.
+  const auto start = std::chrono::steady_clock::now();
+  wal.Close();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(wal.fsyncs(), 1u) << "Close() fsyncs what the syncer had not";
+  EXPECT_FALSE(wal.is_open());
+  auto recovered = RecoverFileWal(path);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value().contents.records.size(), 5u);
+  std::remove(path.c_str());
+}
+
+TEST(FileWalTest, AppendToAFullDiskFails) {
+  // /dev/full accepts the open and fails every write with ENOSPC; the
+  // append flushes to the OS before returning, so it reports the failure.
+  for (SyncPolicy policy : {SyncPolicy::kOsBuffered, SyncPolicy::kEveryRecord,
+                            SyncPolicy::kGroupCommit}) {
+    FileWalOptions options;
+    options.policy = policy;
+    FileWal wal;
+    ASSERT_TRUE(wal.Open("/dev/full", options).ok());
+    const Status s = wal.AppendRecord(MakeRecord(0, 1, 1));
+    EXPECT_FALSE(s.ok()) << SyncPolicyName(policy);
+    EXPECT_NE(s.message().find("WAL flush failed"), std::string::npos)
+        << s.ToString();
+    wal.Close();
+  }
+}
+
+TEST(FileWalTest, FailedSyncerFsyncIsStickyOnTheNextAppend) {
+  // fsync(2) on /dev/null fails (EINVAL) while writes succeed, so the
+  // syncer's failure is the only one: it must surface on the loop side.
+  FileWalOptions options;
+  options.policy = SyncPolicy::kGroupCommit;
+  options.group_commit_interval = std::chrono::milliseconds(1);
+  FileWal wal;
+  ASSERT_TRUE(wal.Open("/dev/null", options).ok());
+  ASSERT_TRUE(wal.AppendRecord(MakeRecord(0, 1, 1)).ok());
+  ASSERT_TRUE(AwaitFsyncs(wal, 1, std::chrono::seconds(5)));
+  for (int i = 0; i < 2; ++i) {
+    const Status s = wal.AppendRecord(MakeRecord(0, 2, 2));
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("WAL fsync failed"), std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_FALSE(wal.SyncToDisk().ok());
+  EXPECT_EQ(wal.entries_appended(), 1u);
+  wal.Close();
 }
 
 TEST(FileWalTest, TornTailIsPhysicallyTruncatedAndAppendable) {

@@ -1,6 +1,6 @@
 // Live-cluster integration tests (ctest label "live", serial): real
 // heliosd processes on fixed loopback ports driven by helios_supervisor,
-// plus in-process overload tests against a LiveDatacenter.
+// plus in-process overload tests against a pair of LiveDatacenters.
 //
 // These fork whole daemons, SIGKILL them mid-load, and measure wall-clock
 // throughput — deliberately not tier1. CI runs them in the dedicated
@@ -14,7 +14,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/helios_config.h"
 #include "transport/cluster_spec.h"
@@ -160,13 +162,23 @@ TEST(LiveClusterTest, RelaunchedDaemonsClockDoesNotHoldCommitsBack) {
   EXPECT_EQ(JsonNumber(m[1], "recoveries"), 1.0) << m[1];
   EXPECT_GT(JsonNumber(m[1], "stepped_us"), 2e6) << m[1];
   EXPECT_LT(JsonNumber(m[0], "stepped_us"), 1e4) << m[0];
+  // Group commit: dc0's syncer fsynced its journal while it took load.
+  EXPECT_GT(JsonNumber(m[0], "fsyncs"), 0.0) << m[0];
+  EXPECT_GT(JsonNumber(m[0], "entries_appended"), 0.0) << m[0];
 }
 
 // --- Overload: graceful degradation under far-beyond-capacity load --------
 
-core::HeliosConfig SoloConfig() {
+// A live node's service time is its real CPU time, so one node alone
+// decides a commit in microseconds and no offered rate fills an admission
+// budget. Real latency does: two Helios-B datacenters 10 ms apart (each
+// one's inbound delay), with every commit at dc 0 waiting for dc 1's
+// knowledge, hold each admitted transaction for about 10 ms plus ticks.
+constexpr Duration kOverloadInboundDelay = Millis(10);
+
+core::HeliosConfig PairConfig() {
   core::HeliosConfig config;
-  config.num_datacenters = 1;
+  config.num_datacenters = 2;
   config.log_interval = Millis(5);
   config.grace_time = Millis(1000);
   return config;
@@ -174,13 +186,20 @@ core::HeliosConfig SoloConfig() {
 
 workload::OpenLoopStats OfferLoad(double rate_per_sec, int duration_ms,
                                   uint64_t max_inflight) {
-  transport::LiveDatacenter dc(0, SoloConfig());
+  std::vector<std::unique_ptr<transport::LiveDatacenter>> dcs;
+  std::vector<uint16_t> ports;
+  for (DcId id = 0; id < 2; ++id) {
+    dcs.push_back(std::make_unique<transport::LiveDatacenter>(
+        id, PairConfig(), kOverloadInboundDelay));
+    EXPECT_TRUE(dcs.back()->Listen(0).ok());
+    ports.push_back(dcs.back()->port());
+  }
+  transport::LiveDatacenter& dc = *dcs[0];
   transport::AdmissionConfig admission;
   admission.max_inflight = max_inflight;
   dc.SetAdmissionControl(admission);
-  EXPECT_TRUE(dc.Listen(0).ok());
-  EXPECT_TRUE(dc.ConnectPeers({dc.port()}).ok());
-  dc.Start();
+  for (auto& node : dcs) EXPECT_TRUE(node->ConnectPeers(ports).ok());
+  for (auto& node : dcs) node->Start();
 
   workload::OpenLoopOptions opts;
   opts.rate_per_sec = rate_per_sec;
@@ -200,7 +219,7 @@ workload::OpenLoopStats OfferLoad(double rate_per_sec, int duration_ms,
     // The generator's busy count is the server's shed count.
     EXPECT_EQ(overload.shed, stats.busy_rejected);
   }
-  dc.Stop();
+  for (auto& node : dcs) node->Stop();
   return stats;
 }
 

@@ -831,6 +831,28 @@ TEST(LiveDatacenterDeathTest, SecondStartAborts) {
       },
       "check failed: .*dc0: Start twice");
 }
+
+TEST(LiveDatacenterDeathTest, UnjournaledRecordAborts) {
+  // A datacenter whose disk is full must stop rather than commit records
+  // it never journaled. /dev/full reads as an empty journal and fails
+  // every write.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto recovered = wal::RecoverFileWal("/dev/full");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value().contents.entries, 0u);
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = 1;
+  EXPECT_DEATH(
+      {
+        LiveDatacenter dc(0, cfg);
+        if (dc.EnableWal("/dev/full", wal::FileWalOptions{}).ok() &&
+            dc.Listen(0).ok() && dc.ConnectPeers({dc.port()}).ok()) {
+          dc.Start();
+          (void)dc.CommitSync({}, {{"k", "v"}});
+        }
+      },
+      "check failed: .*dc0: .*WAL flush failed");
+}
 #endif
 
 TEST(LiveDatacenterTest, InitialDataVisibleBeforeTraffic) {

@@ -141,6 +141,18 @@ std::string MetricsJson(int dc, int shard, int shards, LiveDatacenter& node,
     w.Close();
   }
 
+  const helios::transport::WalStats wal = node.wal_snapshot();
+  std::string wal_doc;
+  if (wal.enabled) {
+    json::ObjectWriter w(&wal_doc);
+    w.Field("bytes_written", wal.bytes_written);
+    w.Field("entries_appended", wal.entries_appended);
+    w.Field("fsync_us_max", wal.fsync_us_max);
+    w.Field("fsync_us_total", wal.fsync_us_total);
+    w.Field("fsyncs", wal.fsyncs);
+    w.Close();
+  }
+
   std::string out;
   json::ObjectWriter w(&out);
   w.Raw("clock", clock_doc);
@@ -172,6 +184,7 @@ std::string MetricsJson(int dc, int shard, int shards, LiveDatacenter& node,
   w.Raw("recovery", recovery_doc);
   if (shards > 1) w.Field("shard", static_cast<int64_t>(shard));
   w.Raw("transport", transport_doc);
+  if (wal.enabled) w.Raw("wal", wal_doc);
   w.Close();
   return out;
 }
