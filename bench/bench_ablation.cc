@@ -276,8 +276,9 @@ void AdaptiveOffsetsAblation() {
   // The Virginia-Singapore link IMPROVES from 268ms to 120ms at t=12s
   // (e.g. a new cable path). A static MAO plan keeps waiting out the old
   // pairwise budget — Lemma 1 says L_V + L_S >= RTT(V,S), and the stale
-  // offsets still enforce the 268ms split. Replanning from the live
-  // estimates at t=21s lets the whole deployment cash in the improvement.
+  // offsets still enforce the 268ms split. Replanning from the RTTs the
+  // nodes measure (ClockDiscipline's round trips) at t=21s lets the whole
+  // deployment cash in the improvement.
   // (When a link *degrades*, the new lower bound is unavoidable and
   // replanning can only re-split the burden between the two endpoints.)
   helios::sim::Scheduler scheduler;
@@ -286,7 +287,6 @@ void AdaptiveOffsetsAblation() {
   harness::ConfigureNetwork(topo, &network);
   helios::core::HeliosConfig hc;
   hc.num_datacenters = 5;
-  hc.estimate_rtts = true;
   hc.commit_offsets = harness::PlanCommitOffsets(topo, std::nullopt);
   helios::core::HeliosCluster cluster(&scheduler, &network, std::move(hc));
   helios::workload::WorkloadConfig wl;
@@ -353,7 +353,7 @@ void AdaptiveOffsetsAblation() {
       "replan %s (new planned MAO average: %.1fms vs 90.6ms before the "
       "improvement).\nThe static plan cannot exploit the faster link: its "
       "offsets still enforce the\nold 268ms V-S budget. Replanning from "
-      "the gossiped live estimates lowers both\nendpoints' waits to the "
+      "the RTTs every node measures lowers\nboth endpoints' waits to the "
       "new lower bound.\n",
       replanned_ok ? "succeeded" : "FAILED", replanned_avg);
 }

@@ -48,6 +48,11 @@ int main() {
   // 4. A client at datacenter A: read, then read-modify-write commit.
   scheduler.At(Millis(50), [&] {
     cluster.ClientRead(0, "greeting", [&](Result<VersionedValue> r) {
+      if (!r.ok()) {
+        std::printf("[%.1fms] client@A read greeting failed: %s\n",
+                    ToMillis(scheduler.Now()), r.status().ToString().c_str());
+        return;
+      }
       std::printf("[%.1fms] client@A read greeting = \"%s\"\n",
                   ToMillis(scheduler.Now()), r.value().value.c_str());
       ReadEntry read{"greeting", r.value().ts, r.value().writer};
@@ -81,6 +86,11 @@ int main() {
   // 6. Later, read the replicated value at the farthest datacenter.
   scheduler.At(Millis(400), [&] {
     cluster.ClientRead(2, "greeting", [&](Result<VersionedValue> r) {
+      if (!r.ok()) {
+        std::printf("[%.1fms] client@C read greeting failed: %s\n",
+                    ToMillis(scheduler.Now()), r.status().ToString().c_str());
+        return;
+      }
       std::printf("[%.1fms] client@C read greeting = \"%s\"\n",
                   ToMillis(scheduler.Now()), r.value().value.c_str());
     });

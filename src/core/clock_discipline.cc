@@ -15,9 +15,7 @@ ClockDiscipline::ClockDiscipline(DcId self, int n, Duration log_interval,
     : self_(self),
       log_interval_(log_interval),
       sink_(std::move(sink)),
-      peers_(static_cast<size_t>(n)) {
-  HELIOS_CHECK(sink_ != nullptr, "clock discipline without a step sink");
-}
+      peers_(static_cast<size_t>(n)) {}
 
 void ClockDiscipline::OnGossip(DcId peer, Timestamp sent, Timestamp arrived,
                                std::optional<Duration> report,
@@ -97,7 +95,14 @@ std::optional<Duration> ClockDiscipline::ReportFor(DcId peer) const {
   return p.samples[static_cast<size_t>((p.next - 1 + kWindow) % kWindow)];
 }
 
+std::optional<Duration> ClockDiscipline::RttTo(DcId peer) const {
+  const Peer& p = peers_[static_cast<size_t>(peer)];
+  if (p.rtt_count < kMinRttSamples) return std::nullopt;
+  return static_cast<Duration>(std::llround(RttOf(p)));
+}
+
 void ClockDiscipline::Tick(sim::SimTime now) {
+  if (sink_ == nullptr) return;
   double phi_sum = 0.0;
   double variance_sum = 0.0;
   int counted = 0;
@@ -135,6 +140,7 @@ void ClockDiscipline::Tick(sim::SimTime now) {
 }
 
 void ClockDiscipline::Step(Duration step, sim::SimTime now) {
+  HELIOS_CHECK(sink_ != nullptr, "clock step without a step sink");
   HELIOS_CHECK(step > 0, "clock step of " + std::to_string(step) +
                              " us: the discipline never steps backward");
   for (Peer& p : peers_) {

@@ -1,5 +1,7 @@
-// Clock discipline: steps a datacenter's clock forward until the apparent
-// one-way delays to and from its peers are symmetric.
+// Clock discipline: every Helios node's delay estimator. It measures the
+// apparent one-way delays to and from each peer and their round trip, and,
+// once a step sink is installed, steps the datacenter's clock forward until
+// those one-way delays are symmetric.
 //
 // Rule 2 makes a commit at A wait max_B(co[A][B] + δ(B→A)), where δ(B→A)
 // is the *apparent* one-way delay: the network delay plus B's clock offset
@@ -15,14 +17,20 @@
 //     few of them as the window's spread allows (see Estimate).
 //   * Report: the latest sample travels back to B on the next envelope
 //     (Envelope::apparent_delay_us). A report plus the sample of the
-//     envelope that carried it is one round-trip sample, and B's own steps
-//     cancel out of that sum; the median of the latest ones is the RTT.
+//     envelope that carried it is one round-trip sample: both clocks'
+//     offsets and B's own steps cancel out of that sum. The median of the
+//     latest ones is the RTT (RttTo), Section 4.5's "estimation of the
+//     RTT" that HeliosCluster::ReplanOffsetsFromEstimates plans from.
 //   * Step: φ_B = RTT/2 − δ(B→self) is how far this clock runs behind B's
 //     once the path's round trip is split evenly. When the mean of φ over
 //     the peers exceeds a deadband of kDeadbandSigmas standard errors
 //     (never less than kMinDeadband, or twice that once the clock has
 //     settled) on kPersistTicks consecutive ticks, the clock steps forward
 //     by that mean through the installed sink.
+//
+// Every node measures and reports; only a node with a sink steps. A
+// simulated deployment installs none, because there the clock offsets are
+// the experiment's input, so its clocks keep their configured offsets.
 //
 // Steps are forward-only. A backward step would freeze NowUnique, stalling
 // every peer's Rule-2 wait on this node, and would let the grace-time
@@ -44,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -84,7 +93,13 @@ class ClockDiscipline {
   /// drift of loop and scheduling delays does not keep nudging it.
   static constexpr int kSettledTicks = 4 * kWindow;
 
-  ClockDiscipline(DcId self, int n, Duration log_interval, StepSink sink);
+  /// Without a `sink` the discipline measures and reports but never steps.
+  ClockDiscipline(DcId self, int n, Duration log_interval,
+                  StepSink sink = nullptr);
+
+  /// Installs the sink that carries out steps from now on.
+  void set_sink(StepSink sink) { sink_ = std::move(sink); }
+  bool has_sink() const { return sink_ != nullptr; }
 
   /// A gossip envelope from `peer`, stamped `sent` on the peer's clock,
   /// arrived at local clock reading `arrived` (scheduler time `now`). It
@@ -96,11 +111,16 @@ class ClockDiscipline {
   /// `peer`; nullopt before the first.
   std::optional<Duration> ReportFor(DcId peer) const;
 
+  /// The round trip to `peer` in microseconds: the median of the latest
+  /// round-trip samples, or nullopt below kMinRttSamples of them.
+  std::optional<Duration> RttTo(DcId peer) const;
+
   /// Gossip tick: steps the clock forward if the peers persistently say
-  /// it runs behind.
+  /// it runs behind. Does nothing without a sink.
   void Tick(sim::SimTime now);
 
   /// Steps the clock forward by `step` (> 0) and shifts the estimates.
+  /// Requires a sink.
   void Step(Duration step, sim::SimTime now);
 
   const ClockStepStats& stats() const { return stats_; }

@@ -72,21 +72,6 @@ struct Envelope {
   /// when the transaction finishes).
   std::vector<Refusal> refusals;
 
-  // --- Online RTT estimation (Section 4.5 needs RTT estimates; these
-  // fields piggyback a ping/pong on the periodic log exchange) -----------
-  /// Identifier of this envelope as a ping (0 = not a ping).
-  uint32_t ping_id = 0;
-  /// Echo of the latest ping received from the destination (0 = none).
-  uint32_t pong_for = 0;
-  /// How long the sender held that ping before this reply, in
-  /// microseconds — subtracted by the receiver so the sample measures
-  /// pure network round trip rather than tick alignment.
-  Duration pong_hold_us = 0;
-  /// The sender's current smoothed RTT estimates to every datacenter
-  /// (microseconds; 0 = unknown). Gossiped so every node can assemble the
-  /// full matrix the MAO replanner needs.
-  std::vector<Duration> rtt_row_us;
-
   /// Role of this envelope (gossip, ack or recovery catch-up). On the wire
   /// the field is a trailing optional: omitted for kGossip, so regular
   /// traffic's byte layout (and measured message sizes) are unchanged.
@@ -101,7 +86,7 @@ struct Envelope {
   /// → sender) in microseconds: how long the receiver's last gossip took
   /// to reach the sender, measured on the sender's clock against the
   /// receiver's send stamp, so it includes the two clocks' offset and may
-  /// be negative. Set on gossip only by a node whose clock is disciplined
+  /// be negative. Set on gossip once the sender has a sample
   /// (ClockDiscipline); a trailing optional on the wire, absent otherwise.
   std::optional<Duration> apparent_delay_us;
 
@@ -116,10 +101,6 @@ struct Envelope {
     log.from = kInvalidDc;
     log.records.clear();
     refusals.clear();
-    ping_id = 0;
-    pong_for = 0;
-    pong_hold_us = 0;
-    rtt_row_us.clear();
     kind = EnvelopeKind::kGossip;
     suspicions.clear();
     apparent_delay_us.reset();

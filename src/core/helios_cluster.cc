@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/mutation.h"
+#include "lp/mao.h"
 #include "obs/metrics.h"
 
 namespace helios::core {
@@ -612,15 +613,23 @@ void HeliosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
   }
 }
 
-Result<double> HeliosCluster::ReplanOffsetsFromEstimates(DcId reference) {
-  const RttEstimator* estimator = node(reference).rtt_estimator();
-  if (estimator == nullptr) {
-    return Status::FailedPrecondition("estimate_rtts is not enabled");
+Result<double> HeliosCluster::ReplanOffsetsFromEstimates() {
+  // Every shard's node at a datacenter gossips over the same WAN, so
+  // shard 0's measurements stand for the datacenter.
+  const int n = config_.num_datacenters;
+  lp::RttMatrix matrix(n);
+  for (DcId a = 0; a < n; ++a) {
+    for (DcId b = a + 1; b < n; ++b) {
+      const std::optional<Duration> ab = node(a).MeasuredRttTo(b);
+      const std::optional<Duration> ba = node(b).MeasuredRttTo(a);
+      if (!ab.has_value() || !ba.has_value()) {
+        return Status::Unavailable("no RTT measured yet between dc" +
+                                   std::to_string(a) + " and dc" +
+                                   std::to_string(b));
+      }
+      matrix.Set(a, b, ToMillis(*ab + *ba) / 2.0);
+    }
   }
-  if (!estimator->MatrixComplete()) {
-    return Status::Unavailable("RTT matrix not yet complete");
-  }
-  const lp::RttMatrix matrix = estimator->MatrixMs();
   auto mao = lp::SolveMao(matrix);
   if (!mao.ok()) return mao.status();
   const auto offsets = lp::EvenSplitOffsetsUs(mao.value());

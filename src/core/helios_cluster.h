@@ -165,14 +165,15 @@ class HeliosCluster : public ProtocolCluster {
   /// Sum of the node counters across datacenters and shards.
   NodeCounters AggregateCounters() const;
 
-  /// Replans commit offsets from the live RTT estimates (requires
-  /// config.estimate_rtts and a complete estimated matrix at datacenter
-  /// `reference`): solves MAO over the estimate and installs each row of
-  /// lp::EvenSplitOffsetsUs on its datacenter's nodes. In the simulator
-  /// this is atomic across nodes, so Rule 1 holds throughout; a live
-  /// deployment would stage the change (raise-offsets first, then lower).
-  /// Returns the estimated matrix's MAO average latency (ms).
-  Result<double> ReplanOffsetsFromEstimates(DcId reference = 0);
+  /// Replans commit offsets from the RTTs the nodes measured
+  /// (HeliosNode::MeasuredRttTo, each pair's two directions averaged):
+  /// solves MAO over them and installs each row of lp::EvenSplitOffsetsUs
+  /// on its datacenter's nodes. Unavailable until every pair is measured.
+  /// In the simulator this is atomic across nodes, so Rule 1 holds
+  /// throughout; a live deployment would stage the change (raise-offsets
+  /// first, then lower). Returns the measured matrix's MAO average
+  /// latency (ms).
+  Result<double> ReplanOffsetsFromEstimates();
 
   /// Installs a function that computes an envelope's on-wire size (see
   /// wire::EncodedEnvelopeSize). When set, peer messages go through

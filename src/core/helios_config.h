@@ -84,12 +84,6 @@ struct HeliosConfig {
   /// means perfectly synchronized clocks.
   std::vector<Duration> clock_offsets;
 
-  /// Enables online RTT estimation: envelopes double as ping/pong probes
-  /// and gossip smoothed per-pair estimates (core::RttEstimator), from
-  /// which commit offsets can be replanned at runtime
-  /// (HeliosCluster::ReplanOffsetsFromEstimates).
-  bool estimate_rtts = false;
-
   /// Gray-failure detection and reaction (src/health).
   HealthConfig health;
 

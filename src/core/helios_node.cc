@@ -32,7 +32,8 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
       clock_(clock),
       send_(std::move(send)),
       service_queue_(scheduler),
-      log_(id, config.num_datacenters) {
+      log_(id, config.num_datacenters),
+      clock_discipline_(id, config.num_datacenters, config.log_interval) {
   HELIOS_CHECK(id >= 0 && id < config.num_datacenters,
                "node id " + std::to_string(id) + " outside " +
                    std::to_string(config.num_datacenters) + " datacenters");
@@ -40,10 +41,6 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
   HELIOS_CHECK(kind_ != LogProtocolKind::kMessageFutures ||
                    config_.fault_tolerance == 0,
                "Message Futures runs with f = 0");
-  if (config_.estimate_rtts) {
-    rtt_estimator_ =
-        std::make_unique<RttEstimator>(id_, config_.num_datacenters);
-  }
   if (config_.health.enabled) {
     peer_health_ = std::make_unique<health::PeerHealth>(
         config_.num_datacenters, id_, config_.health.phi);
@@ -56,8 +53,7 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
 }
 
 void HeliosNode::set_clock_step_sink(ClockDiscipline::StepSink sink) {
-  clock_discipline_ = std::make_unique<ClockDiscipline>(
-      id_, config_.num_datacenters, config_.log_interval, std::move(sink));
+  clock_discipline_.set_sink(std::move(sink));
 }
 
 void HeliosNode::SetCommitOffsetRow(std::vector<Duration> row) {
@@ -203,18 +199,14 @@ void HeliosNode::HandleEnvelope(EnvelopePtr env) {
     trace_->Instant(obs::EventKind::kEnvelopeRecv, id_, TxnId{},
                     scheduler_->Now(), env->log.from);
   }
-  if (rtt_estimator_ != nullptr) {
-    // Sample at arrival time (scheduler basis, immune to clock offsets).
-    rtt_estimator_->OnIncoming(env->log.from, scheduler_->Now(), *env);
-  }
   const DcId from = env->log.from;
-  if (clock_discipline_ != nullptr && env->kind == EnvelopeKind::kGossip &&
-      from >= 0 && from < env->log.table.size()) {
+  if (env->kind == EnvelopeKind::kGossip && from >= 0 &&
+      from < env->log.table.size()) {
     // Gossip carries the sender's clock at send time as T[from][from]; the
     // catch-up kinds are sent off the tick and may carry an older stamp.
-    clock_discipline_->OnGossip(from, env->log.table.Get(from, from),
-                                clock_->Now(), env->apparent_delay_us,
-                                scheduler_->Now());
+    clock_discipline_.OnGossip(from, env->log.table.Get(from, from),
+                               clock_->Now(), env->apparent_delay_us,
+                               scheduler_->Now());
   }
   if (peer_health_ != nullptr && env->kind != EnvelopeKind::kAck) {
     // Every envelope but an ack is a heartbeat: acks answer our own gossip
@@ -989,12 +981,12 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
   // presumed aborts of pass 2 included) could land under a promise every
   // peer already holds, and no peer would ever ingest it.
   clock_->AdvanceTo(log_.KnownUpTo(id_));
-  if (clock_discipline_ != nullptr && clock_->Now() < clock_->floor()) {
+  if (clock_discipline_.has_sink() && clock_->Now() < clock_->floor()) {
     // A restarted process's clock may start below the promises it made
     // before the crash (a live clock counts from its own loop's start),
     // which would freeze NowUnique at the floor and hold every peer's
     // commits on this node until the clock caught up.
-    clock_discipline_->Step(clock_->floor() - clock_->Now(), scheduler_->Now());
+    clock_discipline_.Step(clock_->floor() - clock_->Now(), scheduler_->Now());
   }
   log_.AdvanceOwnClock(clock_->NowUnique());
   records_replayed_ = records.size();
@@ -1106,9 +1098,7 @@ void HeliosNode::SendToAllPeers() {
     // passively from envelope arrivals, so piggybacking the evaluation here
     // adds no scheduled events (bit-identity of healthy runs).
     EvaluateHealth();
-    if (clock_discipline_ != nullptr) {
-      clock_discipline_->Tick(scheduler_->Now());
-    }
+    clock_discipline_.Tick(scheduler_->Now());
     // Every record this node creates from here on will carry a timestamp
     // greater than this clock reading, so peers may treat our history as
     // complete up to it (essential when we are idle).
@@ -1120,12 +1110,7 @@ void HeliosNode::SendToAllPeers() {
       log_.BuildMessageInto(peer, &env->log);
       env->refusals = refusals;
       StampSuspicions(env.get());
-      if (rtt_estimator_ != nullptr) {
-        rtt_estimator_->StampOutgoing(peer, scheduler_->Now(), env.get());
-      }
-      if (clock_discipline_ != nullptr) {
-        env->apparent_delay_us = clock_discipline_->ReportFor(peer);
-      }
+      env->apparent_delay_us = clock_discipline_.ReportFor(peer);
       SendEnvelope(peer, std::move(env));
     }
   }
@@ -1306,9 +1291,6 @@ void HeliosNode::SendCatchupRequests() {
     auto env = AcquireEnvelope();
     log_.BuildMessageInto(peer, &env->log);
     env->kind = EnvelopeKind::kCatchupRequest;
-    if (rtt_estimator_ != nullptr) {
-      rtt_estimator_->StampOutgoing(peer, scheduler_->Now(), env.get());
-    }
     SendEnvelope(peer, std::move(env));
   }
   ++catchup_attempts_;

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,7 +35,6 @@
 #include "core/envelope.h"
 #include "core/helios_config.h"
 #include "core/history.h"
-#include "core/rtt_estimator.h"
 #include "health/phi_detector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -336,24 +336,25 @@ class HeliosNode {
   /// tests.
   Timestamp EffectiveKnowledge(DcId peer) const;
 
-  /// Disciplines this node's clock against its peers (ClockDiscipline):
-  /// from now on the node measures the apparent one-way delays on gossip,
-  /// reports them back, and on its gossip tick hands `sink` every forward
-  /// step that makes them symmetric. `sink` must advance the clock this
-  /// node reads by exactly the step. Without a sink (the default, and
-  /// every simulated deployment: there the clock offsets are the
-  /// experiment's input) the node neither measures nor reports. Install
-  /// before Restore(), which steps a restarted clock up to its restored
-  /// timestamp floor.
+  /// Disciplines this node's clock against its peers (ClockDiscipline): on
+  /// its gossip tick the node hands `sink` every forward step that makes
+  /// the apparent one-way delays to and from its peers symmetric. `sink`
+  /// must advance the clock this node reads by exactly the step. Without a
+  /// sink (the default, and every simulated deployment: there the clock
+  /// offsets are the experiment's input) the node still measures and
+  /// reports its delays but never steps. Install before Restore(), which
+  /// steps a restarted clock up to its restored timestamp floor.
   void set_clock_step_sink(ClockDiscipline::StepSink sink);
   /// Steps taken so far (zero without a sink).
   ClockStepStats clock_step_stats() const {
-    return clock_discipline_ == nullptr ? ClockStepStats{}
-                                        : clock_discipline_->stats();
+    return clock_discipline_.stats();
   }
 
-  /// Online RTT estimator (non-null only with config.estimate_rtts).
-  const RttEstimator* rtt_estimator() const { return rtt_estimator_.get(); }
+  /// The measured round trip to `peer` in microseconds (ClockDiscipline::
+  /// RttTo); nullopt until enough gossip has been exchanged with it.
+  std::optional<Duration> MeasuredRttTo(DcId peer) const {
+    return clock_discipline_.RttTo(peer);
+  }
 
   /// Replaces this node's commit-offset row co[self][*] (microseconds).
   /// Applies to transactions requested from now on; in-flight waits keep
@@ -666,9 +667,9 @@ class HeliosNode {
   /// Recycles outgoing envelopes; in-flight shared_ptrs survive this
   /// node's destruction (amnesia crash) via the pool's weak deleter.
   common::ObjectPool<Envelope> envelope_pool_;
-  std::unique_ptr<RttEstimator> rtt_estimator_;
-  /// Null unless set_clock_step_sink installed a sink.
-  std::unique_ptr<ClockDiscipline> clock_discipline_;
+  /// Measures delays on every node; steps the clock only once
+  /// set_clock_step_sink installed a sink.
+  ClockDiscipline clock_discipline_;
   /// Runtime override of co[self][*]; empty = use the config's offsets.
   std::vector<Duration> offset_row_override_;
 

@@ -1,8 +1,8 @@
 #include "harness/experiment.h"
 
-#include <cassert>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "baselines/replicated_commit.h"
 #include "common/check.h"
@@ -85,14 +85,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   const bool has_message_faults = config.fault_plan.HasMessageFaults();
   if (!config.fault_plan.empty()) {
     const Status st = config.fault_plan.Validate(n);
-    assert(st.ok() && "invalid fault plan; run FaultPlan::Validate first");
-    (void)st;
+    HELIOS_CHECK(st.ok(), "invalid fault plan (run FaultPlan::Validate "
+                          "first): " + st.ToString());
   }
   if (has_message_faults) {
     const Status st = network.InstallMessageFaults(
         config.fault_plan, DeriveSeed(config.seed, kFaultSeedTag));
-    assert(st.ok());
-    (void)st;
+    HELIOS_CHECK(st.ok(), "message faults not installed: " + st.ToString());
     network.EnableReliableSessions();
   }
   // Gray link faults (slow-link, asymmetric partition) live in the
@@ -101,8 +100,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   const bool has_gray_link_faults = config.fault_plan.HasGrayLinkFaults();
   if (has_gray_link_faults) {
     const Status st = network.InstallGrayFaults(config.fault_plan);
-    assert(st.ok());
-    (void)st;
+    HELIOS_CHECK(st.ok(), "gray faults not installed: " + st.ToString());
   }
   ExperimentResult result;
   if (config.trace.enabled) {
@@ -115,8 +113,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   std::unique_ptr<ProtocolCluster> cluster;
   core::HistoryRecorder* history = nullptr;
   const core::HeliosCluster* helios = nullptr;
-  assert(config.shards == 1 || (IsHeliosFamily(config.protocol) &&
-                                config.protocol != Protocol::kMessageFutures));
+  HELIOS_CHECK(config.shards == 1 ||
+                   (IsHeliosFamily(config.protocol) &&
+                    config.protocol != Protocol::kMessageFutures),
+               std::string(ProtocolName(config.protocol)) +
+                   " does not run over " + std::to_string(config.shards) +
+                   " shards");
 
   if (IsHeliosFamily(config.protocol)) {
     const bool mf = config.protocol == Protocol::kMessageFutures;

@@ -95,7 +95,7 @@ struct ClusterSpec {
   /// The protocol config every heliosd derives from this spec. Commit
   /// offsets stay empty (Helios-B: every commit waits one apparent one-way
   /// delay from each peer), since the file carries no RTTs and heliosd
-  /// does not replan them (estimate_rtts stays off). Each daemon
+  /// does not replan from the ones its node measures. Each daemon
   /// disciplines its clock against its peers (core::ClockDiscipline), so
   /// that delay is the path's real RTT/2 and not the gap between the
   /// instants the daemons started.

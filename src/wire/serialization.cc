@@ -199,15 +199,10 @@ void EncodeEnvelope(const core::Envelope& env, Writer* w) {
     EncodeTxnId(r.txn, w);
     w->PutSignedVarint(r.txn_ts);
   }
-  w->PutVarint(env.ping_id);
-  w->PutVarint(env.pong_for);
-  w->PutSignedVarint(env.pong_hold_us);
-  w->PutVarint(env.rtt_row_us.size());
-  for (Duration d : env.rtt_row_us) w->PutSignedVarint(d);
   // Trailing optionals behind one trailer byte: the envelope kind in the
   // low bits, plus a flag per optional section that follows (suspicions,
-  // then the apparent delay). A plain gossip envelope carries no trailer,
-  // so its byte layout (and measured message sizes) are unchanged.
+  // then the apparent delay). A gossip envelope with none of them carries
+  // no trailer byte.
   const bool has_suspicions = !env.suspicions.empty();
   const bool has_delay = env.apparent_delay_us.has_value();
   if (env.kind != core::EnvelopeKind::kGossip || has_suspicions || has_delay) {
@@ -249,25 +244,6 @@ Status DecodeEnvelope(Decoder* dec, core::Envelope* out) {
     s = dec->GetSignedVarint(&r.txn_ts);
     if (!s.ok()) return s;
     env.refusals.push_back(r);
-  }
-  uint64_t ping = 0;
-  s = dec->GetVarint(&ping);
-  if (!s.ok()) return s;
-  env.ping_id = static_cast<uint32_t>(ping);
-  uint64_t pong = 0;
-  s = dec->GetVarint(&pong);
-  if (!s.ok()) return s;
-  env.pong_for = static_cast<uint32_t>(pong);
-  s = dec->GetSignedVarint(&env.pong_hold_us);
-  if (!s.ok()) return s;
-  uint64_t row = 0;
-  s = dec->GetVarint(&row);
-  if (!s.ok()) return s;
-  if (row > kMaxDatacenters) return Status::InvalidArgument("rtt row too big");
-  env.rtt_row_us.resize(row);
-  for (uint64_t i = 0; i < row; ++i) {
-    s = dec->GetSignedVarint(&env.rtt_row_us[i]);
-    if (!s.ok()) return s;
   }
   if (dec->remaining() == 0) {
     *out = std::move(env);

@@ -34,7 +34,9 @@
 namespace helios::wire {
 
 inline constexpr uint32_t kFrameMagic = 0x48454C4Fu;  // "HELO"
-inline constexpr uint8_t kWireVersion = 1;
+/// Version 2 dropped the envelope's four ping/pong fields from the middle
+/// of its payload; a version-1 peer's frames are refused, not misparsed.
+inline constexpr uint8_t kWireVersion = 2;
 
 // --- Component encoders/decoders -------------------------------------------
 

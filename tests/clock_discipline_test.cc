@@ -1,16 +1,19 @@
-// Tests for the clock discipline (core::ClockDiscipline): the estimator on
-// synthetic samples, and whole simulated Helios deployments whose clocks
-// the test disciplines by installing a step sink on every node. The
-// simulated deployments themselves never install one (their clock offsets
-// are the experiment's input), so these runs are the only place the
-// discipline meets Table 2's jitter and Fig. 5's skew vectors.
+// Tests for the clock discipline (core::ClockDiscipline), every Helios
+// node's delay estimator: the estimator on synthetic samples; the round
+// trips it measures on simulated deployments, which install no step sink
+// (their clock offsets are the experiment's input), and the offset replan
+// built on them; and whole simulated deployments whose clocks the test
+// disciplines by installing a step sink on every node, the only place the
+// steps meet Table 2's jitter and Fig. 5's skew vectors.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,12 +104,192 @@ TEST(ClockDisciplineTest, CorruptStampsAndReportsAreIgnored) {
   EXPECT_EQ(node.stats().steps, 0u);
 }
 
+TEST(ClockDisciplineTest, WithoutASinkMeasuresAndReportsButNeverSteps) {
+  ClockDiscipline node(0, 2, Millis(10));
+  EXPECT_FALSE(node.has_sink());
+  Duration ahead = Millis(50);
+  sim::SimTime now = 0;
+  FeedSymmetric(&node, 1, Millis(20), &ahead,
+                ClockDiscipline::kMinRttSamples - 1, &now);
+  EXPECT_FALSE(node.RttTo(1).has_value());
+  // The peer runs 50 ms ahead over a 20 ms path: every envelope appears to
+  // arrive 30 ms before it was sent, and that is what the node reports.
+  ASSERT_TRUE(node.ReportFor(1).has_value());
+  EXPECT_EQ(*node.ReportFor(1), Millis(20) - Millis(50));
+  FeedSymmetric(&node, 1, Millis(20), &ahead, 1, &now);
+  ASSERT_TRUE(node.RttTo(1).has_value());
+  EXPECT_EQ(*node.RttTo(1), 2 * Millis(20));
+  FeedSymmetric(&node, 1, Millis(20), &ahead, 100, &now);
+  EXPECT_EQ(node.stats().steps, 0u);
+  EXPECT_EQ(ahead, Millis(50));
+  EXPECT_EQ(*node.RttTo(1), 2 * Millis(20));
+  EXPECT_FALSE(node.RttTo(0).has_value());  // Itself: never sampled.
+}
+
 #if GTEST_HAS_DEATH_TEST
 TEST(ClockDisciplineDeathTest, BackwardStepAborts) {
   ClockDiscipline node(0, 2, Millis(10), [](Duration) {});
   EXPECT_DEATH(node.Step(-1, 0), "check failed: .*never steps backward");
 }
+
+TEST(ClockDisciplineDeathTest, StepWithoutASinkAborts) {
+  ClockDiscipline node(0, 2, Millis(10));
+  EXPECT_DEATH(node.Step(Millis(1), 0), "check failed: .*without a step sink");
+}
 #endif
+
+// --- Measured round trips on simulated deployments (no sink) --------------
+
+struct EstimationRig {
+  sim::Scheduler scheduler;
+  std::unique_ptr<sim::Network> network;
+  std::unique_ptr<HeliosCluster> cluster;
+
+  explicit EstimationRig(const harness::Topology& topo,
+                         std::vector<Duration> clock_offsets = {}) {
+    network = std::make_unique<sim::Network>(&scheduler, topo.size(), 9);
+    harness::ConfigureNetwork(topo, network.get());
+    HeliosConfig cfg;
+    cfg.num_datacenters = topo.size();
+    cfg.log_interval = Millis(5);
+    cfg.clock_offsets = std::move(clock_offsets);
+    cluster = std::make_unique<HeliosCluster>(&scheduler, network.get(),
+                                              std::move(cfg));
+    cluster->Start();
+  }
+
+  /// dc's measured RTT to `peer` in milliseconds; -1 if it has none.
+  double RttMs(DcId dc, DcId peer) const {
+    const std::optional<Duration> rtt = cluster->node(dc).MeasuredRttTo(peer);
+    return rtt.has_value() ? ToMillis(*rtt) : -1.0;
+  }
+};
+
+TEST(RttEstimationIntegrationTest, EstimatesMatchConfiguredTopology) {
+  const auto topo = harness::Table2Topology();
+  EstimationRig rig(topo);
+  rig.scheduler.RunUntil(Seconds(5));
+  for (DcId dc = 0; dc < topo.size(); ++dc) {
+    for (DcId peer = 0; peer < topo.size(); ++peer) {
+      if (peer == dc) continue;
+      // Within 15% of the configured mean despite the link jitter and
+      // tick alignment.
+      EXPECT_NEAR(rig.RttMs(dc, peer), topo.rtt_ms.Get(dc, peer),
+                  topo.rtt_ms.Get(dc, peer) * 0.15 + 2.0)
+          << "dc" << dc << " to dc" << peer;
+    }
+  }
+}
+
+TEST(RttEstimationIntegrationTest, SkewDoesNotBiasEstimates) {
+  const auto topo = harness::UniformTopology(3, 60.0);
+  EstimationRig rig(topo, {Millis(150), -Millis(120), 0});
+  rig.scheduler.RunUntil(Seconds(4));
+  for (DcId dc = 0; dc < 3; ++dc) {
+    for (DcId peer = 0; peer < 3; ++peer) {
+      if (peer != dc) {
+        EXPECT_NEAR(rig.RttMs(dc, peer), 60.0, 6.0)
+            << "dc" << dc << " to dc" << peer;
+      }
+    }
+  }
+}
+
+TEST(RttEstimationIntegrationTest, ReplanAdaptsToRttShift) {
+  // Start with Helios-B (no offsets) on Table 2; once estimates converge,
+  // replanning should roughly reproduce the static MAO plan's latencies.
+  const auto topo = harness::Table2Topology();
+  EstimationRig rig(topo);
+
+  auto commit_latency_at = [&](DcId dc) {
+    Duration latency = -1;
+    const sim::SimTime start = rig.scheduler.Now();
+    rig.cluster->ClientCommit(dc, {},
+                              {{"probe" + std::to_string(start), "v"}},
+                              [&](const CommitOutcome& o) {
+                                if (o.committed) {
+                                  latency = rig.scheduler.Now() - start;
+                                }
+                              });
+    rig.scheduler.RunUntil(rig.scheduler.Now() + Seconds(3));
+    return latency;
+  };
+
+  rig.scheduler.RunUntil(Seconds(4));  // Let estimates converge.
+  const Duration before = commit_latency_at(1);  // Oregon, Helios-B.
+  ASSERT_GT(before, 0);
+
+  auto replanned = rig.cluster->ReplanOffsetsFromEstimates();
+  ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
+  EXPECT_NEAR(replanned.value(), 90.6, 8.0);  // Near the true MAO average.
+
+  const Duration after = commit_latency_at(1);
+  ASSERT_GT(after, 0);
+  // Helios-B put Oregon at ~max one-way (105ms); MAO plans ~10ms.
+  EXPECT_LT(after, before / 2);
+  EXPECT_LT(after, Millis(40));
+}
+
+TEST(RttEstimationIntegrationTest, ReplanKeepsHistorySerializable) {
+  const auto topo = harness::UniformTopology(3, 50.0);
+  EstimationRig rig(topo);
+  auto rng = std::make_shared<Rng>(77);
+  auto step = std::make_shared<std::function<void(DcId)>>();
+  *step = [&, rng, step](DcId dc) {
+    if (rig.scheduler.Now() > Seconds(12)) return;
+    rig.cluster->ClientCommit(
+        dc, {}, {{"k" + std::to_string(rng->Uniform(30)), "v"}},
+        [step, dc](const CommitOutcome&) { (*step)(dc); });
+  };
+  for (DcId dc = 0; dc < 3; ++dc) {
+    rig.scheduler.At(Millis(dc + 1), [step, dc] { (*step)(dc); });
+    rig.scheduler.At(Millis(dc + 2), [step, dc] { (*step)(dc); });
+  }
+  // Replan mid-run, twice.
+  rig.scheduler.At(Seconds(5), [&] {
+    EXPECT_TRUE(rig.cluster->ReplanOffsetsFromEstimates().ok());
+  });
+  rig.scheduler.At(Seconds(8), [&] {
+    EXPECT_TRUE(rig.cluster->ReplanOffsetsFromEstimates().ok());
+  });
+  rig.scheduler.RunUntil(Seconds(20));
+  *step = nullptr;  // Breaks the closure's reference to itself.
+  EXPECT_GT(rig.cluster->history().size(), 200u);
+  const Status ser = CheckSerializable(rig.cluster->history().commits());
+  EXPECT_TRUE(ser.ok()) << ser.ToString();
+}
+
+TEST(RttEstimationIntegrationTest, ReplanFailsCleanlyWithoutEstimation) {
+  // Before any gossip no node has measured a round trip.
+  EstimationRig rig(harness::UniformTopology(2, 40.0));
+  auto result = rig.cluster->ReplanOffsetsFromEstimates();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(RttEstimationIntegrationTest, SkewedClocksWithoutASinkNeverStep) {
+  const std::vector<Duration> skew = {Millis(150), -Millis(120), Millis(40)};
+  EstimationRig rig(harness::UniformTopology(3, 60.0), skew);
+  const auto expect_untouched = [&](const char* when) {
+    for (DcId dc = 0; dc < 3; ++dc) {
+      EXPECT_EQ(rig.cluster->node(dc).clock_step_stats().steps, 0u)
+          << "dc" << dc << " " << when;
+      EXPECT_EQ(rig.cluster->clock(dc).offset(), skew[static_cast<size_t>(dc)])
+          << "dc" << dc << " " << when;
+    }
+  };
+  rig.scheduler.RunUntil(Seconds(4));
+  expect_untouched("after 4 s");
+  // A recovering node restores from its WAL; without a sink it must not
+  // step its clock up to the restored floor either.
+  rig.scheduler.At(Millis(4100), [&] { rig.cluster->CrashDatacenter(1); });
+  rig.scheduler.At(Millis(4600), [&] { rig.cluster->RecoverDatacenter(1); });
+  rig.scheduler.RunUntil(Seconds(7));
+  expect_untouched("after dc1 crashed and recovered");
+  // The restarted node measures again from scratch.
+  EXPECT_NEAR(rig.RttMs(1, 0), 60.0, 6.0);
+  EXPECT_NEAR(rig.RttMs(0, 1), 60.0, 6.0);
+}
 
 // --- Simulated deployments with disciplined clocks ------------------------
 

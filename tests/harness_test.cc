@@ -207,5 +207,22 @@ TEST(ExperimentTest, RttEstimateOverrideChangesPlan) {
   // by construction).
 }
 
+#if GTEST_HAS_DEATH_TEST
+// RunExperiment refuses a request it cannot run as asked in every build,
+// NDEBUG included, instead of running a different experiment.
+TEST(ExperimentDeathTest, InvalidFaultPlanAborts) {
+  ExperimentConfig cfg = SmallConfig(Protocol::kHelios1);
+  cfg.fault_plan.WithLoss(1.5);
+  EXPECT_DEATH(RunExperiment(cfg), "check failed: .*invalid fault plan");
+}
+
+TEST(ExperimentDeathTest, ShardedBaselineAborts) {
+  ExperimentConfig cfg = SmallConfig(Protocol::kReplicatedCommit);
+  cfg.shards = 2;
+  EXPECT_DEATH(RunExperiment(cfg),
+               "check failed: .*does not run over 2 shards");
+}
+#endif
+
 }  // namespace
 }  // namespace helios::harness

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -26,13 +27,29 @@
 namespace helios {
 namespace {
 
-std::string TempDirFor(const std::string& tag) {
-  const std::string dir =
-      ::testing::TempDir() + "/helios_live_" + tag + "_" +
-      std::to_string(::getpid());
-  (void)std::system(("mkdir -p " + dir).c_str());
-  return dir;
-}
+/// A test's scratch directory, removed when the test passed. A failed test
+/// keeps it: its messages point there, and CI uploads /tmp/helios_live_*
+/// on failure.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_(::testing::TempDir() + "/helios_live_" + tag + "_" +
+              std::to_string(::getpid())) {
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    if (::testing::Test::HasFailure()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 void WriteFileOrDie(const std::string& path, const std::string& content) {
   std::ofstream out(path);
@@ -49,7 +66,8 @@ int RunCommand(const std::string& cmd) {
 // --- Supervised chaos: SIGKILL + relaunch + partition, must converge ------
 
 TEST(LiveClusterTest, SupervisedKillRestartConverges) {
-  const std::string dir = TempDirFor("chaos");
+  const ScratchDir scratch("chaos");
+  const std::string& dir = scratch.path();
   const std::string cluster_path = dir + "/cluster.json";
   const std::string plan_path = dir + "/plan.json";
 
@@ -109,7 +127,8 @@ TEST(LiveClusterTest, RelaunchedDaemonsClockDoesNotHoldCommitsBack) {
   // daemon relaunched from its WAL cannot: its new clock starts at zero,
   // below the promises it restored, and without the discipline every
   // commit at its peers would wait out the gap (seconds).
-  const std::string dir = TempDirFor("clock");
+  const ScratchDir scratch("clock");
+  const std::string& dir = scratch.path();
   const std::string cluster_path = dir + "/cluster.json";
   transport::ClusterSpec spec;
   spec.datacenters = {{7451, dir + "/dc0.wal"},

@@ -79,8 +79,8 @@ TEST(ObjectPoolTest, PooledEnvelopeResetKeepsCapacity) {
     raw = env.get();
     env->log.from = 2;
     env->refusals.resize(8);
-    env->rtt_row_us.assign(4, 1000);
-    env->ping_id = 9;
+    env->suspicions.resize(2);
+    env->apparent_delay_us = 31000;
     env->kind = core::EnvelopeKind::kCatchupResponse;
   }
   std::shared_ptr<core::Envelope> env = pool.Acquire(4);
@@ -89,8 +89,8 @@ TEST(ObjectPoolTest, PooledEnvelopeResetKeepsCapacity) {
   env->ResetForReuse();
   EXPECT_EQ(env->log.from, kInvalidDc);
   EXPECT_TRUE(env->refusals.empty());
-  EXPECT_TRUE(env->rtt_row_us.empty());
-  EXPECT_EQ(env->ping_id, 0u);
+  EXPECT_TRUE(env->suspicions.empty());
+  EXPECT_FALSE(env->apparent_delay_us.has_value());
   EXPECT_EQ(env->kind, core::EnvelopeKind::kGossip);
   EXPECT_GE(refusal_capacity, 8u);
   EXPECT_EQ(env->refusals.capacity(), refusal_capacity);

@@ -98,8 +98,8 @@ TEST(WriterTest, SequentialWritersShareOneBuffer) {
 // --- Envelope corpus: reused buffers == fresh ones ---------------------------
 
 /// Deterministic corpus spanning the envelope feature space: records with
-/// read/write sets, refusals, estimation fields, catch-up kinds, and the
-/// degenerate empty-heartbeat shape.
+/// read/write sets, refusals, apparent delays (the trailer path), catch-up
+/// kinds, and the degenerate empty-heartbeat shape.
 std::vector<core::Envelope> CorpusEnvelopes() {
   std::vector<core::Envelope> corpus;
   Rng rng(7);
@@ -132,7 +132,8 @@ std::vector<core::Envelope> CorpusEnvelopes() {
                          TxnId{static_cast<DcId>(j % 4), rng.Uniform(100)}});
         writes.push_back({key, std::string(1 + rng.Uniform(40), 'v')});
       }
-      rec.body = MakeTxnBody(TxnId{env.log.from, 10 * i + rec_i},
+      rec.body = MakeTxnBody(TxnId{env.log.from,
+                                   static_cast<uint64_t>(10 * i + rec_i)},
                              std::move(reads), std::move(writes));
       env.log.records.push_back(rec);
     }
@@ -141,10 +142,8 @@ std::vector<core::Envelope> CorpusEnvelopes() {
           core::Refusal{static_cast<DcId>((i + 1) % 4),
                         TxnId{static_cast<DcId>(i % 4), 77}, 1234});
     }
-    env.ping_id = static_cast<uint32_t>(i + 1);
-    env.pong_for = static_cast<uint32_t>(i);
-    env.pong_hold_us = 250 * i;
-    if (i % 2 == 0) env.rtt_row_us = {0, 45000, 81000, 120000};
+    // Negative apparent delays are legal (the sender's clock runs behind).
+    if (i % 2 == 0) env.apparent_delay_us = 25000 * i - 60000;
     if (i == 5) env.kind = core::EnvelopeKind::kCatchupRequest;
     if (i == 9) env.kind = core::EnvelopeKind::kCatchupResponse;
     corpus.push_back(std::move(env));

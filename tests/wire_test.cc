@@ -247,24 +247,6 @@ std::vector<uint8_t> Framed(const core::Envelope& env) {
   return framer.Frame(env).ToVector();
 }
 
-TEST(SerializationTest, EnvelopeEstimationFieldsRoundTrip) {
-  core::Envelope env = SampleEnvelope();
-  env.ping_id = 42;
-  env.pong_for = 17;
-  env.pong_hold_us = 12345;
-  env.rtt_row_us = {0, 66000, 78000};
-  Buffer buf;
-  Writer w(&buf);
-  EncodeEnvelope(env, &w);
-  Decoder dec(buf);
-  core::Envelope out(1);
-  ASSERT_TRUE(DecodeEnvelope(&dec, &out).ok());
-  EXPECT_EQ(out.ping_id, 42u);
-  EXPECT_EQ(out.pong_for, 17u);
-  EXPECT_EQ(out.pong_hold_us, 12345);
-  EXPECT_EQ(out.rtt_row_us, env.rtt_row_us);
-}
-
 TEST(SerializationTest, EnvelopeRoundTrip) {
   const core::Envelope env = SampleEnvelope();
   Buffer buf;
@@ -422,8 +404,14 @@ TEST(SerializationTest, FrameRejectsTruncation) {
 
 TEST(SerializationTest, FrameRejectsWrongVersion) {
   auto bytes = Framed(SampleEnvelope());
-  bytes[4] = kWireVersion + 1;
-  EXPECT_FALSE(UnframeEnvelope(bytes).ok());
+  // Version 1 laid out four more envelope fields mid-payload, so its
+  // frames must be refused rather than misparsed.
+  for (uint8_t version : {uint8_t{1}, uint8_t{kWireVersion + 1}}) {
+    bytes[4] = version;
+    const auto result = UnframeEnvelope(bytes);
+    ASSERT_FALSE(result.ok()) << "version " << int{version};
+    EXPECT_EQ(result.status().message(), "unsupported wire version");
+  }
 }
 
 TEST(SerializationTest, EncodedSizeMatchesWriter) {
