@@ -142,10 +142,8 @@ void GraceTimeAblation() {
     helios::core::HeliosCluster cluster(&scheduler, &network, std::move(hc));
     helios::workload::WorkloadConfig wl;
     wl.num_keys = 10000;
-    for (uint64_t i = 0; i < wl.num_keys; ++i) {
-      cluster.LoadInitialAll(helios::workload::TYcsbGenerator::KeyName(i),
-                             "init");
-    }
+    cluster.LoadInitialAll(
+        helios::workload::TYcsbGenerator::Preload(wl.num_keys));
     cluster.Start();
     std::vector<std::unique_ptr<helios::workload::ClosedLoopClient>> clients;
     const auto measure = bench::Scaled(Seconds(10));
@@ -235,10 +233,8 @@ void WireSizeAblation() {
     });
     helios::workload::WorkloadConfig wl;
     wl.num_keys = 10000;
-    for (uint64_t i = 0; i < wl.num_keys; ++i) {
-      cluster.LoadInitialAll(helios::workload::TYcsbGenerator::KeyName(i),
-                             "init");
-    }
+    cluster.LoadInitialAll(
+        helios::workload::TYcsbGenerator::Preload(wl.num_keys));
     cluster.Start();
     std::vector<std::unique_ptr<helios::workload::ClosedLoopClient>> clients;
     for (int c = 0; c < 30; ++c) {
@@ -291,10 +287,8 @@ void AdaptiveOffsetsAblation() {
   helios::core::HeliosCluster cluster(&scheduler, &network, std::move(hc));
   helios::workload::WorkloadConfig wl;
   wl.num_keys = 10000;
-  for (uint64_t i = 0; i < wl.num_keys; ++i) {
-    cluster.LoadInitialAll(helios::workload::TYcsbGenerator::KeyName(i),
-                           "init");
-  }
+  cluster.LoadInitialAll(
+      helios::workload::TYcsbGenerator::Preload(wl.num_keys));
   cluster.Start();
 
   // 3-second windows of commit latency, per datacenter and averaged.
@@ -375,10 +369,8 @@ double OffsetPlanRun(int fault_tolerance,
   helios::core::HeliosCluster cluster(&scheduler, &network, std::move(hc));
   helios::workload::WorkloadConfig wl;
   wl.num_keys = 10000;
-  for (uint64_t i = 0; i < wl.num_keys; ++i) {
-    cluster.LoadInitialAll(helios::workload::TYcsbGenerator::KeyName(i),
-                           "init");
-  }
+  cluster.LoadInitialAll(
+      helios::workload::TYcsbGenerator::Preload(wl.num_keys));
   cluster.Start();
   std::vector<std::unique_ptr<helios::workload::ClosedLoopClient>> clients;
   const auto end = Seconds(3) + bench::Scaled(Seconds(10));
@@ -471,10 +463,8 @@ DisciplineRun DisciplineRunOf(const std::vector<Duration>& clock_offsets,
   }
   helios::workload::WorkloadConfig wl;
   wl.num_keys = 10000;
-  for (uint64_t i = 0; i < wl.num_keys; ++i) {
-    cluster.LoadInitialAll(helios::workload::TYcsbGenerator::KeyName(i),
-                           "init");
-  }
+  cluster.LoadInitialAll(
+      helios::workload::TYcsbGenerator::Preload(wl.num_keys));
   cluster.Start();
   std::vector<std::unique_ptr<helios::workload::ClosedLoopClient>> clients;
   const Duration warmup = Seconds(8);

@@ -131,9 +131,9 @@ void OutageTimeline(int f) {
   cfg.grace_time = Millis(400);
   cfg.commit_offsets = harness::PlanCommitOffsets(topo, std::nullopt);
   core::HeliosCluster cluster(&scheduler, &network, std::move(cfg));
-  for (int k = 0; k < 200; ++k) {
-    cluster.LoadInitialAll("k" + std::to_string(k), "v");
-  }
+  helios::InitialRows rows;
+  for (int k = 0; k < 200; ++k) rows.emplace_back("k" + std::to_string(k), "v");
+  cluster.LoadInitialAll(rows);
   cluster.Start();
 
   // Per-second buckets of commit latency at Virginia, plus commit counts.

@@ -44,9 +44,11 @@ int main() {
   config.num_datacenters = topo.size();
   config.commit_offsets = harness::PlanCommitOffsets(topo, std::nullopt);
   core::HeliosCluster cluster(&scheduler, &network, std::move(config));
+  InitialRows accounts;
   for (int i = 0; i < kAccounts; ++i) {
-    cluster.LoadInitialAll(Account(i), std::to_string(kInitialBalance));
+    accounts.emplace_back(Account(i), std::to_string(kInitialBalance));
   }
+  cluster.LoadInitialAll(accounts);
   cluster.Start();
 
   auto rng = std::make_shared<Rng>(17);

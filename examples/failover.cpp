@@ -36,7 +36,7 @@ int main() {
   config.fault_tolerance = 1;
   config.grace_time = Millis(400);
   core::HeliosCluster cluster(&scheduler, &network, std::move(config));
-  cluster.LoadInitialAll("account", "1000");
+  cluster.LoadInitialAll({{"account", "1000"}});
   cluster.Start();
 
   // One client at Virginia committing continuously; we print a sample of

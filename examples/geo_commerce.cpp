@@ -50,9 +50,11 @@ int main() {
   config.fault_tolerance = 1;  // Survive one regional outage.
   core::HeliosCluster cluster(&scheduler, &network, std::move(config));
 
+  InitialRows stock;
   for (int p = 0; p < kProducts; ++p) {
-    cluster.LoadInitialAll(StockKey(p), std::to_string(kInitialStock));
+    stock.emplace_back(StockKey(p), std::to_string(kInitialStock));
   }
+  cluster.LoadInitialAll(stock);
   cluster.Start();
 
   // Per-region storefront: loop placing orders for random products.

@@ -42,7 +42,7 @@ int main() {
   config.log_interval = Millis(5);
   core::HeliosCluster cluster(&scheduler, &network, std::move(config));
 
-  cluster.LoadInitialAll("greeting", "hello");
+  cluster.LoadInitialAll({{"greeting", "hello"}});
   cluster.Start();
 
   // 4. A client at datacenter A: read, then read-modify-write commit.

@@ -64,10 +64,11 @@ class ProtocolCluster {
   /// before submitting client work.
   virtual void Start() = 0;
 
-  /// Installs the same initial value at every replica, outside the
-  /// protocol (experiment setup). Call before Start, loading keys in the
-  /// same order across replicas.
-  virtual void LoadInitialAll(const Key& key, const Value& value) = 0;
+  /// Installs the same initial rows at every replica of each row's key,
+  /// outside the protocol (experiment setup). Call before Start; repeated
+  /// calls append, so load rows in the same order across runs for
+  /// deterministic loader ids (MvStore::LoadInitial).
+  virtual void LoadInitialAll(const InitialRows& rows) = 0;
 
   /// A client homed at `client_dc` reads `key`. The callback runs at the
   /// client, after client-to-datacenter link latency, with the value and

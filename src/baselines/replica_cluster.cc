@@ -115,15 +115,9 @@ void ReplicaCluster::ClientCommit(DcId client_dc,
             std::move(writes), std::move(done));
 }
 
-void ReplicaCluster::LoadInitialAll(const Key& key, const Value& value) {
-  // kMinTimestamp, not 0: skewed client clocks can stamp early commits
-  // with negative timestamps, and the initial version must never shadow a
-  // committed write in the (ts, writer) version order.
-  const TxnId loader{-2, next_load_seq_++};
-  initial_loads_.emplace_back(key, value);
-  for (auto& r : replicas_) {
-    r->store.ApplyWrite(key, value, kMinTimestamp, loader);
-  }
+void ReplicaCluster::LoadInitialAll(const InitialRows& rows) {
+  for (auto& r : replicas_) r->store.LoadInitial(rows);
+  initial_loads_.insert(initial_loads_.end(), rows.begin(), rows.end());
 }
 
 bool ReplicaCluster::ApplyDecision(DcId dc, const TxnBodyPtr& body,
@@ -139,7 +133,12 @@ bool ReplicaCluster::ApplyDecision(DcId dc, const TxnBodyPtr& body,
   rec.origin = body->id.origin;
   rec.body = body;
   (void)wals_[static_cast<size_t>(dc)]->AppendRecord(rec);
-  replica(dc).store.ApplyTxn(*body, version_ts);
+  MvStore& store = replica(dc).store;
+  store.ApplyTxn(*body, version_ts);
+  // Baselines read only latest versions. A GC pass that drops nothing
+  // costs one look at the store's schedule, so collect on every decision
+  // instead of on a timer, which would add scheduler events.
+  store.TruncateVersionsBefore(clock(dc).Now() - kVersionRetention);
   return true;
 }
 
@@ -171,14 +170,11 @@ void ReplicaCluster::SetDatacenterDown(DcId dc, bool down) {
   st.recovering = true;
   const sim::SimTime started = scheduler_->Now();
   const uint64_t gen = st.gen;
-  // Restore: data loaded outside the protocol first (same TxnIds as the
-  // original loads, since they replay in order from 1), then the journal
-  // of every decision this datacenter had applied before the crash.
+  // Restore: data loaded outside the protocol first (the fresh store
+  // numbers them as the original loads did), then the journal of every
+  // decision this datacenter had applied before the crash.
   MvStore& store = replica(dc).store;
-  uint64_t load_seq = 1;
-  for (const auto& [key, value] : initial_loads_) {
-    store.ApplyWrite(key, value, kMinTimestamp, TxnId{-2, load_seq++});
-  }
+  store.LoadInitial(initial_loads_);
   const auto& journal = wals_[static_cast<size_t>(dc)]->contents().records;
   for (const auto& rec : journal) {
     if (rec.body != nullptr) store.ApplyTxn(*rec.body, rec.version_ts);

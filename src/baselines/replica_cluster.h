@@ -46,7 +46,7 @@ struct ReplicaConfig {
 class ReplicaCluster : public ProtocolCluster {
  public:
   void Start() override {}
-  void LoadInitialAll(const Key& key, const Value& value) override;
+  void LoadInitialAll(const InitialRows& rows) override;
   void ClientCommit(DcId client_dc, std::vector<ReadEntry> reads,
                     std::vector<WriteEntry> writes,
                     CommitCallback done) override;
@@ -192,12 +192,11 @@ class ReplicaCluster : public ProtocolCluster {
   std::vector<std::unique_ptr<wal::MemoryWal>> wals_;
   std::vector<std::unordered_set<TxnId, TxnIdHash>> journaled_;
   std::vector<DcState> dc_state_;
-  std::vector<std::pair<Key, Value>> initial_loads_;
+  InitialRows initial_loads_;
   RecoveryStats recovery_stats_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::Histogram* h_commit_total_us_ = nullptr;
   obs::Histogram* h_abort_total_us_ = nullptr;
-  uint64_t next_load_seq_ = 1;
 };
 
 }  // namespace helios::baselines

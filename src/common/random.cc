@@ -1,7 +1,11 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace helios {
 
@@ -81,9 +85,21 @@ bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 Rng Rng::Fork() { return Rng(Next()); }
 
 double ZipfianGenerator::Zeta(uint64_t n, double theta) {
-  double sum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  return sum;
+  // Every client of an experiment builds a generator over the same key
+  // pool, and the sum costs n pow calls, so it runs once per (n, theta)
+  // per process. Keyed on theta's bits: a NaN must not alias other keys.
+  static std::mutex mu;
+  static std::map<std::pair<uint64_t, uint64_t>, double> memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto [it, fresh] = memo.try_emplace({n, std::bit_cast<uint64_t>(theta)});
+  if (fresh) {
+    double sum = 0.0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    }
+    it->second = sum;
+  }
+  return it->second;
 }
 
 ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)

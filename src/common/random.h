@@ -69,6 +69,8 @@ class ZipfianGenerator {
   double theta() const { return theta_; }
 
  private:
+  /// Sum of 1/i^theta for i in [1, n], computed once per (n, theta) per
+  /// process and shared by every generator (thread-safe).
   static double Zeta(uint64_t n, double theta);
 
   uint64_t n_;

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace helios {
 
@@ -72,6 +74,9 @@ struct TxnIdHash {
 /// Keys and values stored in the replicated data store.
 using Key = std::string;
 using Value = std::string;
+
+/// Rows of an initial image, loaded outside the protocol in this order.
+using InitialRows = std::vector<std::pair<Key, Value>>;
 
 }  // namespace helios
 

@@ -1,6 +1,7 @@
 #include "core/helios_cluster.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -403,10 +404,19 @@ void HeliosCluster::ClientReadOnly(DcId client_dc, std::vector<Key> keys,
   });
 }
 
-void HeliosCluster::LoadInitialAll(const Key& key, const Value& value) {
-  Plane& p = plane(ShardOf(key));
-  p.initial_loads.emplace_back(key, value);
-  for (auto& node : p.nodes) node->LoadInitial(key, value);
+void HeliosCluster::LoadInitialAll(const InitialRows& rows) {
+  std::vector<InitialRows> by_shard(planes_.size());
+  for (const auto& row : rows) {
+    by_shard[static_cast<size_t>(ShardOf(row.first))].push_back(row);
+  }
+  for (int s = 0; s < num_shards(); ++s) {
+    Plane& p = plane(s);
+    InitialRows& shard_rows = by_shard[static_cast<size_t>(s)];
+    for (auto& node : p.nodes) node->LoadInitial(shard_rows);
+    p.initial_loads.insert(p.initial_loads.end(),
+                           std::make_move_iterator(shard_rows.begin()),
+                           std::make_move_iterator(shard_rows.end()));
+  }
 }
 
 void HeliosCluster::CrashDatacenter(DcId dc) {
@@ -447,9 +457,7 @@ void HeliosCluster::SetNodeDown(int shard, DcId dc, bool down) {
   if (!current.down()) return;
   // Recovery: replay data loaded outside the protocol, then the WAL
   // (records + latest timetable snapshot), then rejoin and catch up.
-  for (const auto& [key, value] : p.initial_loads) {
-    current.LoadInitial(key, value);
-  }
+  current.LoadInitial(p.initial_loads);
   const wal::WalContents& contents =
       p.wals[static_cast<size_t>(dc)]->contents();
   const Status restored = current.Restore(

@@ -94,10 +94,8 @@ class HeliosCluster : public ProtocolCluster {
   int num_datacenters() const override { return config_.num_datacenters; }
   int num_shards() const override { return static_cast<int>(planes_.size()); }
 
-  /// Loads the same initial value on every datacenter of the key's shard
-  /// (call before Start, and load keys in the same order across runs for
-  /// deterministic ids).
-  void LoadInitialAll(const Key& key, const Value& value) override;
+  /// Loads each row on every datacenter of its key's shard.
+  void LoadInitialAll(const InitialRows& rows) override;
 
   /// Installs the observability sinks on every node (src/obs).
   void SetObservability(obs::TraceRecorder* trace,
@@ -196,7 +194,7 @@ class HeliosCluster : public ProtocolCluster {
     std::vector<std::unique_ptr<wal::MemoryWal>> wals;
     /// Data loaded outside the protocol (LoadInitialAll bypasses the log,
     /// so recovery must replay it separately before the WAL).
-    std::vector<std::pair<Key, Value>> initial_loads;
+    InitialRows initial_loads;
     RecoveryStats recovery;
   };
 

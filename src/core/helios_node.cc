@@ -11,11 +11,6 @@ namespace helios::core {
 
 namespace {
 
-/// Origin id used for initial data loaded outside the protocol. Distinct
-/// from kInvalidDc so loaded versions validate correctly, and never equal
-/// to a real datacenter id.
-constexpr DcId kLoaderOrigin = -2;
-
 /// Minimum spacing of hedged catch-up pulls to the best-informed healthy
 /// peer while any datacenter is suspected.
 constexpr Duration kHedgeInterval = Millis(100);
@@ -223,14 +218,6 @@ void HeliosNode::HandleEnvelope(EnvelopePtr env) {
                         Guarded([this, env = std::move(env)]() {
                           ProcessEnvelope(*env);
                         }));
-}
-
-void HeliosNode::LoadInitial(const Key& key, const Value& value) {
-  // kMinTimestamp, not 0: skewed client clocks can stamp early commits
-  // with negative timestamps, and the initial version must never shadow a
-  // committed write in the (ts, writer) version order.
-  store_.ApplyWrite(key, value, /*commit_ts=*/kMinTimestamp,
-                    TxnId{kLoaderOrigin, next_load_seq_++});
 }
 
 // --- Algorithm 1: commit requests -------------------------------------------
@@ -1121,7 +1108,7 @@ void HeliosNode::SendToAllPeers() {
 void HeliosNode::RunGc() {
   if (!down_ && !Stalled()) {
     log_.GarbageCollect();
-    store_.TruncateVersionsBefore(clock_->Now() - Seconds(10));
+    store_.TruncateVersionsBefore(clock_->Now() - kVersionRetention);
     // Drop refusal state for transactions that are long decided.
     const Timestamp horizon = clock_->Now() - 10 * config_.grace_time;
     for (auto it = refusals_.begin(); it != refusals_.end();) {

@@ -262,7 +262,7 @@ class HeliosNode {
 
   /// Installs initial data directly (outside the protocol), as the
   /// experiment loader does before the measured run.
-  void LoadInitial(const Key& key, const Value& value);
+  void LoadInitial(const InitialRows& rows) { store_.LoadInitial(rows); }
 
   /// Marks the node crashed: it stops sending, and drops client requests
   /// and incoming envelopes. (Network-level drops are handled separately by
@@ -639,7 +639,6 @@ class HeliosNode {
   StagedResolver staged_resolver_;
 
   uint64_t next_txn_seq_ = 1;
-  uint64_t next_load_seq_ = 1;
   bool down_ = false;
   bool started_ = false;
   /// Liveness token for Guarded(): resets implicitly when the node object

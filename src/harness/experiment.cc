@@ -169,9 +169,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   if (config.preload) {
-    for (uint64_t i = 0; i < config.workload.num_keys; ++i) {
-      cluster->LoadInitialAll(workload::TYcsbGenerator::KeyName(i), "init");
-    }
+    cluster->LoadInitialAll(
+        workload::TYcsbGenerator::Preload(config.workload.num_keys));
   }
   cluster->SetObservability(result.trace.get(), result.metrics_registry.get());
   cluster->Start();

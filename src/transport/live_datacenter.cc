@@ -231,12 +231,11 @@ CommitOutcome LiveDatacenter::CommitSync(std::vector<ReadEntry> reads,
 }
 
 void LiveDatacenter::LoadInitial(const Key& key, const Value& value) {
+  const InitialRows row{{key, value}};
   if (started_) {
-    loop_.PostAndWait([this, &key, &value]() {
-      node_->LoadInitial(key, value);
-    });
+    loop_.PostAndWait([this, &row]() { node_->LoadInitial(row); });
   } else {
-    node_->LoadInitial(key, value);
+    node_->LoadInitial(row);
   }
 }
 

@@ -15,6 +15,13 @@ Key TYcsbGenerator::KeyName(uint64_t i) {
   return buf;
 }
 
+InitialRows TYcsbGenerator::Preload(uint64_t num_keys) {
+  InitialRows rows;
+  rows.reserve(num_keys);
+  for (uint64_t i = 0; i < num_keys; ++i) rows.emplace_back(KeyName(i), "init");
+  return rows;
+}
+
 Value TYcsbGenerator::NextValue() {
   static const char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";

@@ -66,6 +66,10 @@ class TYcsbGenerator {
   /// Canonical key name for index `i`, e.g. "user00000042".
   static Key KeyName(uint64_t i);
 
+  /// The experiments' initial image: keys 0..num_keys-1 in order, each
+  /// with value "init".
+  static InitialRows Preload(uint64_t num_keys);
+
   /// Random payload of the configured size.
   Value NextValue();
 

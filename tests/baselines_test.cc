@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/replicated_commit.h"
@@ -13,6 +15,7 @@
 #include "core/history.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "wal/wal_sink.h"
 
 namespace helios::baselines {
 namespace {
@@ -291,16 +294,15 @@ void AfterDecided(Rig& rig, std::shared_ptr<TxnDriver> txn,
   });
 }
 
-// Randomized contention for both baselines: history must stay
-// conflict-serializable and replicas converge.
-template <typename GetHistory, typename GetStore>
-void RunContention(Rig& rig, int n, int keys, GetHistory get_history,
-                   GetStore get_store) {
+/// Two closed loops per datacenter until `stop`, each transaction reading
+/// one of `keys` random keys and writing it and another. Returns the loop
+/// body; reset it after the run to break its reference to itself.
+std::shared_ptr<std::function<void(DcId)>> StartContendedLoad(
+    Rig& rig, int n, int keys, sim::SimTime stop) {
   auto rng = std::make_shared<Rng>(31);
   auto step = std::make_shared<std::function<void(DcId)>>();
-  auto active = std::make_shared<int>(0);
-  *step = [&rig, rng, keys, step, n](DcId dc) {
-    if (rig.scheduler.Now() > Seconds(15)) return;
+  *step = [&rig, rng, keys, step, stop](DcId dc) {
+    if (rig.scheduler.Now() > stop) return;
     auto txn = std::make_shared<TxnDriver>(&rig, dc);
     const std::string k1 = "key" + std::to_string(rng->Uniform(keys));
     const std::string k2 = "key" + std::to_string(rng->Uniform(keys));
@@ -319,6 +321,15 @@ void RunContention(Rig& rig, int n, int keys, GetHistory get_history,
     rig.scheduler.At(Millis(dc + 1), [step, dc] { (*step)(dc); });
     rig.scheduler.At(Millis(dc + 2), [step, dc] { (*step)(dc); });
   }
+  return step;
+}
+
+// Randomized contention for both baselines: history must stay
+// conflict-serializable and replicas converge.
+template <typename GetHistory, typename GetStore>
+void RunContention(Rig& rig, int n, int keys, GetHistory get_history,
+                   GetStore get_store) {
+  auto step = StartContendedLoad(rig, n, keys, Seconds(15));
   rig.scheduler.RunUntil(Seconds(40));
   *step = nullptr;  // Breaks the closure's reference to itself.
 
@@ -352,6 +363,48 @@ TEST(TwoPcPaxosTest, ContendedHistoryIsSerializable) {
   RunContention(
       *rig, 3, 25, [&]() -> core::HistoryRecorder& { return rig->tp().history(); },
       [&](DcId dc) -> const MvStore& { return rig->tp().store(dc); });
+}
+
+// Replicas collect versions older than kVersionRetention as decisions
+// apply: after 25 s of load each holds one version per key plus at most
+// the writes it journaled in the last 10.5 s (the slack covers the gap
+// between the last decision applied and the end of the run).
+void ExpectOldVersionsCollected(bool two_pc) {
+  constexpr int kDcs = 3;
+  constexpr int kKeys = 200;
+  constexpr sim::SimTime kEnd = Seconds(25);
+  auto rig = MakeRig(kDcs, Millis(50), two_pc);
+  InitialRows rows;
+  for (int k = 0; k < kKeys; ++k) {
+    rows.emplace_back("key" + std::to_string(k), "init");
+  }
+  rig->cluster->LoadInitialAll(rows);
+  auto step = StartContendedLoad(*rig, kDcs, kKeys, kEnd);
+  rig->scheduler.RunUntil(kEnd);
+  *step = nullptr;
+  const Timestamp recent = kEnd - kVersionRetention - Millis(500);
+  for (DcId dc = 0; dc < kDcs; ++dc) {
+    uint64_t journaled = 0;
+    uint64_t recent_writes = 0;
+    const wal::MemoryWal& journal = *rig->cluster->wal_journal(dc, 0);
+    for (const auto& rec : journal.contents().records) {
+      const size_t writes = rec.body->write_set.size();
+      journaled += writes;
+      if (rec.version_ts >= recent) recent_writes += writes;
+    }
+    const MvStore& store = two_pc ? rig->tp().store(dc) : rig->rc().store(dc);
+    EXPECT_EQ(store.key_count(), static_cast<size_t>(kKeys));
+    EXPECT_GT(journaled, 3 * recent_writes / 2) << "dc " << dc;
+    EXPECT_LE(store.version_count(), kKeys + recent_writes) << "dc " << dc;
+  }
+}
+
+TEST(ReplicatedCommitTest, ReplicasCollectVersionsPastRetention) {
+  ExpectOldVersionsCollected(/*two_pc=*/false);
+}
+
+TEST(TwoPcPaxosTest, ReplicasCollectVersionsPastRetention) {
+  ExpectOldVersionsCollected(/*two_pc=*/true);
 }
 
 }  // namespace

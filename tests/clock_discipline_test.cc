@@ -353,9 +353,7 @@ Outcome RunTable2(const RunSpec& spec) {
   }
   workload::WorkloadConfig wl;
   wl.num_keys = 10000;
-  for (uint64_t i = 0; i < wl.num_keys; ++i) {
-    cluster.LoadInitialAll(workload::TYcsbGenerator::KeyName(i), "init");
-  }
+  cluster.LoadInitialAll(workload::TYcsbGenerator::Preload(wl.num_keys));
   cluster.Start();
   std::vector<std::unique_ptr<workload::ClosedLoopClient>> clients;
   for (int c = 0; c < spec.clients; ++c) {

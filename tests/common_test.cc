@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -177,6 +179,34 @@ TEST(ZipfianTest, ThetaZeroIsNearlyUniform) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 100000; ++i) counts[zipf.Next(rng)]++;
   for (int c : counts) EXPECT_NEAR(c, 10000, 1500);
+}
+
+TEST(ZipfianTest, ConcurrentConstructionMatchesSerial) {
+  // Generators share one zeta sum per (n, theta). Four threads build
+  // theirs at once over a pool no other test uses, so the first sum races
+  // with its readers; each must draw what a generator built alone draws.
+  constexpr uint64_t kItems = 37337;
+  constexpr double kTheta = 0.61;
+  constexpr int kDraws = 1000;
+  const auto draw = [] {
+    ZipfianGenerator zipf(kItems, kTheta);
+    Rng rng(41);
+    std::vector<uint64_t> items;
+    for (int i = 0; i < kDraws; ++i) items.push_back(zipf.Next(rng));
+    return items;
+  };
+  std::vector<std::vector<uint64_t>> drawn(4);
+  std::latch start(static_cast<std::ptrdiff_t>(drawn.size()));
+  std::vector<std::thread> threads;
+  for (auto& out : drawn) {
+    threads.emplace_back([&start, &out, &draw] {
+      start.arrive_and_wait();
+      out = draw();
+    });
+  }
+  for (auto& t : threads) t.join();
+  const std::vector<uint64_t> alone = draw();
+  for (const auto& items : drawn) EXPECT_EQ(items, alone);
 }
 
 TEST(UniformKeyGeneratorTest, CoversRange) {

@@ -54,9 +54,11 @@ TEST_P(FailureInjectionSweep, SerializableThroughRandomOutages) {
   cfg.grace_time = Millis(400);
   cfg.log_interval = Millis(5);
   HeliosCluster cluster(&scheduler, &network, cfg);
+  InitialRows rows;
   for (int k = 0; k < keys; ++k) {
-    cluster.LoadInitialAll("key" + std::to_string(k), "init");
+    rows.emplace_back("key" + std::to_string(k), "init");
   }
+  cluster.LoadInitialAll(rows);
   cluster.Start();
 
   // Closed-loop clients at every datacenter. Clients at a crashed

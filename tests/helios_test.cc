@@ -119,7 +119,7 @@ TEST(HeliosBasicTest, CommitAppliesWritesEverywhere) {
 
 TEST(HeliosBasicTest, ReadReturnsVersionInfo) {
   auto rig = MakeUniformRig(2, Millis(20), BaseConfig(2));
-  rig->cluster->LoadInitialAll("k", "v0");
+  rig->cluster->LoadInitialAll({{"k", "v0"}});
   rig->cluster->Start();
   Result<VersionedValue> got = Status::Internal("unset");
   rig->scheduler.At(Millis(5), [&] {
@@ -147,7 +147,7 @@ TEST(HeliosBasicTest, ReadOfMissingKeyIsNotFound) {
 
 TEST(HeliosBasicTest, OverwrittenReadAborts) {
   auto rig = MakeUniformRig(2, Millis(20), BaseConfig(2));
-  rig->cluster->LoadInitialAll("k", "v0");
+  rig->cluster->LoadInitialAll({{"k", "v0"}});
   rig->cluster->Start();
 
   // First transaction overwrites k; the second then tries to commit with
@@ -354,9 +354,11 @@ struct ContentionOutcome {
 ContentionOutcome RunContentionWorkload(TestRig& rig,
                                         const ContentionOptions& opt) {
   auto& cluster = *rig.cluster;
+  InitialRows rows;
   for (int k = 0; k < opt.keys; ++k) {
-    cluster.LoadInitialAll("key" + std::to_string(k), "init");
+    rows.emplace_back("key" + std::to_string(k), "init");
   }
+  cluster.LoadInitialAll(rows);
   cluster.Start();
 
   auto outcome = std::make_shared<ContentionOutcome>();
@@ -806,8 +808,7 @@ TEST(HeliosLivenessTest, RecoveredDatacenterCatchesUp) {
 
 TEST(HeliosReadOnlyTest, SnapshotReadsSeeCommittedData) {
   auto rig = MakeUniformRig(2, Millis(30), BaseConfig(2));
-  rig->cluster->LoadInitialAll("a", "0");
-  rig->cluster->LoadInitialAll("b", "0");
+  rig->cluster->LoadInitialAll({{"a", "0"}, {"b", "0"}});
   rig->cluster->Start();
   CommitResult w;
   rig->scheduler.At(Millis(10), [&] {

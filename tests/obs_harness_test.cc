@@ -55,9 +55,7 @@ std::unique_ptr<TracedRun> RunTracedHelios0() {
                               core::LogProtocolKind::kHelios, "Helios-0");
   workload::WorkloadConfig workload;
   workload.num_keys = 500;
-  for (uint64_t i = 0; i < workload.num_keys; ++i) {
-    cluster.LoadInitialAll(workload::TYcsbGenerator::KeyName(i), "init");
-  }
+  cluster.LoadInitialAll(workload::TYcsbGenerator::Preload(workload.num_keys));
   cluster.SetObservability(&run->trace, &run->metrics);
   cluster.Start();
 

@@ -147,6 +147,12 @@ constexpr int kScriptTxns = 30;
 
 Key ScriptKey(int i) { return "k" + std::to_string(i); }
 
+InitialRows ScriptRows(int keys) {
+  InitialRows rows;
+  for (int k = 0; k < keys; ++k) rows.emplace_back(ScriptKey(k), "init");
+  return rows;
+}
+
 /// Non-conflicting write-only transactions, one every 120 ms, round-robin
 /// across datacenters. Deterministic, and identical in every rig built
 /// from the same maker — the basis of the crashed-vs-control comparison.
@@ -170,10 +176,8 @@ void RunReplayEquivalence(std::function<ProtoRig()> make, DcId crash_dc) {
   // its WAL; rig B is the uncrashed control.
   ProtoRig a = make();
   ProtoRig b = make();
-  for (int k = 0; k < kScriptTxns; ++k) {
-    a.cluster->LoadInitialAll(ScriptKey(k), "init");
-    b.cluster->LoadInitialAll(ScriptKey(k), "init");
-  }
+  a.cluster->LoadInitialAll(ScriptRows(kScriptTxns));
+  b.cluster->LoadInitialAll(ScriptRows(kScriptTxns));
   a.cluster->Start();
   b.cluster->Start();
 
@@ -240,7 +244,7 @@ TEST(WalReplayEquivalence, HeliosFloorAndTimetableSnapshot) {
   cfg.fault_tolerance = 1;
   cfg.log_interval = Millis(5);
   core::HeliosCluster cluster(&scheduler, &network, cfg);
-  cluster.LoadInitialAll("a", "init");
+  cluster.LoadInitialAll({{"a", "init"}});
   cluster.Start();
   auto commits = std::make_shared<int>(0);
   for (int i = 0; i < 10; ++i) {
@@ -284,7 +288,7 @@ TEST(HeliosRestartTest, PresumedAbortReachesPeersAfterQuickRestart) {
   cfg.log_interval = Millis(10);
   cfg.commit_offsets = harness::PlanCommitOffsets(topo, std::nullopt);
   core::HeliosCluster cluster(&scheduler, &network, cfg);
-  cluster.LoadInitialAll("a", "init");
+  cluster.LoadInitialAll({{"a", "init"}});
   cluster.Start();
   bool replied = false;
   scheduler.At(Micros(1000500), [&cluster, &replied] {
@@ -310,9 +314,7 @@ TEST(HeliosRestartTest, PresumedAbortReachesPeersAfterQuickRestart) {
 TEST(CatchupTest, HeliosPullsMissedSuffixFromPeers) {
   ProtoRig rig = MakeHeliosRig(1);
   const int keys = 40;
-  for (int k = 0; k < keys; ++k) {
-    rig.cluster->LoadInitialAll(ScriptKey(k), "init");
-  }
+  rig.cluster->LoadInitialAll(ScriptRows(keys));
   rig.cluster->Start();
 
   // One write every 100 ms from datacenter 0 for the whole run — many of
@@ -359,9 +361,7 @@ TEST(CatchupTest, BaselinesPullMissedDecisions) {
     SCOPED_TRACE(two_pc ? "2pc" : "rc");
     ProtoRig rig = MakeBaselineRig(two_pc);
     const int keys = 40;
-    for (int k = 0; k < keys; ++k) {
-      rig.cluster->LoadInitialAll(ScriptKey(k), "init");
-    }
+    rig.cluster->LoadInitialAll(ScriptRows(keys));
     rig.cluster->Start();
 
     auto commits = std::make_shared<int>(0);
@@ -405,9 +405,7 @@ TEST(CatchupTest, BaselineSkipsPeerStillCatchingUp) {
   // caught-up peer instead.
   ProtoRig rig = MakeBaselineRig(/*two_pc=*/false, /*n=*/5);
   const int keys = 40;
-  for (int k = 0; k < keys; ++k) {
-    rig.cluster->LoadInitialAll(ScriptKey(k), "init");
-  }
+  rig.cluster->LoadInitialAll(ScriptRows(keys));
   rig.cluster->Start();
 
   auto commits = std::make_shared<int>(0);
@@ -452,7 +450,7 @@ class SwallowFirstCommitCluster : public ProtocolCluster {
       : scheduler_(scheduler) {}
 
   void Start() override {}
-  void LoadInitialAll(const Key&, const Value&) override {}
+  void LoadInitialAll(const InitialRows&) override {}
   void ClientRead(DcId, const Key& key, ReadCallback done) override {
     scheduler_->After(Millis(1), [key, done = std::move(done)] {
       VersionedValue v;

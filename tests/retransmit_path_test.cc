@@ -53,9 +53,11 @@ TEST(RetransmitPathTest, SizerRunsOncePerLogicalSendDespiteRetransmits) {
     return wire::EncodedEnvelopeSize(env);
   });
 
+  InitialRows rows;
   for (int k = 0; k < 10; ++k) {
-    cluster.LoadInitialAll("key" + std::to_string(k), "init");
+    rows.emplace_back("key" + std::to_string(k), "init");
   }
+  cluster.LoadInitialAll(rows);
   cluster.Start();
 
   // Closed-loop writers at every datacenter keep log records (not just

@@ -550,8 +550,7 @@ TEST(HeliosClusterShards, JournalsAreIndexedByDatacenterAndShard) {
 TEST(HeliosClusterShards, RecoveryRestoresEveryShardNodeOfTheDatacenter) {
   ShardedRig rig{ShardMap::Range({"m"})};
   core::HeliosCluster& cluster = *rig.cluster;
-  cluster.LoadInitialAll("a", "init");
-  cluster.LoadInitialAll("z", "init");
+  cluster.LoadInitialAll({{"a", "init"}, {"z", "init"}});
   cluster.Start();
   int committed = 0;
   for (int i = 0; i < 5; ++i) {

@@ -153,9 +153,7 @@ class ClientLoopTest : public ::testing::Test {
     cluster_ = std::make_unique<core::HeliosCluster>(&scheduler_,
                                                      network_.get(), cfg);
     workload_.num_keys = 100;
-    for (uint64_t i = 0; i < workload_.num_keys; ++i) {
-      cluster_->LoadInitialAll(TYcsbGenerator::KeyName(i), "init");
-    }
+    cluster_->LoadInitialAll(TYcsbGenerator::Preload(workload_.num_keys));
     cluster_->Start();
   }
 
@@ -258,7 +256,7 @@ class SheddingStubCluster : public ProtocolCluster {
   explicit SheddingStubCluster(sim::Scheduler* sched) : sched_(sched) {}
 
   void Start() override {}
-  void LoadInitialAll(const Key&, const Value&) override {}
+  void LoadInitialAll(const InitialRows&) override {}
   void ClientRead(DcId, const Key&, ReadCallback done) override {
     sched_->After(kRtt, [done = std::move(done)]() {
       done(VersionedValue{"v", 1, TxnId{}});
