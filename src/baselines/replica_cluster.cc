@@ -115,6 +115,18 @@ void ReplicaCluster::ClientCommit(DcId client_dc,
             std::move(writes), std::move(done));
 }
 
+bool ReplicaCluster::RefuseDuplicateWrites(
+    DcId client_dc, const TxnId& txn, const std::vector<WriteEntry>& writes,
+    const CommitCallback& done) {
+  if (!HasDuplicateWriteKey(writes)) return false;
+  ++aborts_;
+  TxnAbandon(client_dc, txn);
+  scheduler_->After(2 * config_.client_link_one_way, [txn, done]() {
+    done(CommitOutcome{txn, false, kDuplicateWriteAbortReason});
+  });
+  return true;
+}
+
 void ReplicaCluster::LoadInitialAll(const InitialRows& rows) {
   for (auto& r : replicas_) r->store.LoadInitial(rows);
   initial_loads_.insert(initial_loads_.end(), rows.begin(), rows.end());

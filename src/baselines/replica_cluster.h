@@ -152,6 +152,14 @@ class ReplicaCluster : public ProtocolCluster {
   /// learner message, catch-up) idempotent.
   bool ApplyDecision(DcId dc, const TxnBodyPtr& body, Timestamp version_ts);
 
+  /// Refuses a commit whose write set names a key twice before any
+  /// TxnBody exists: counts an abort, releases what the read phase locked
+  /// (TxnAbandon) and answers kDuplicateWriteAbortReason after one client
+  /// round trip. False, with nothing done, for a well-formed write set.
+  bool RefuseDuplicateWrites(DcId client_dc, const TxnId& txn,
+                             const std::vector<WriteEntry>& writes,
+                             const CommitCallback& done);
+
   /// Records the trace events and histogram sample for a decision reached
   /// now for a commit request that entered at `t0`.
   void RecordDecision(DcId dc, const TxnId& txn, bool commit,

@@ -206,6 +206,7 @@ void ReplicatedCommitCluster::TxnCommit(DcId client_dc, const TxnId& txn,
                                         std::vector<ReadEntry> reads,
                                         std::vector<WriteEntry> writes,
                                         CommitCallback done) {
+  if (RefuseDuplicateWrites(client_dc, txn, writes, done)) return;
   const int n = config_.num_datacenters;
   const int majority = n / 2 + 1;
   const Timestamp start_ts = StartTs(client_dc, txn);

@@ -273,6 +273,7 @@ void TwoPcPaxosCluster::TxnCommit(DcId client_dc, const TxnId& txn,
                                   std::vector<ReadEntry> reads,
                                   std::vector<WriteEntry> writes,
                                   CommitCallback done) {
+  if (RefuseDuplicateWrites(client_dc, txn, writes, done)) return;
   TxnBodyPtr body = MakeTxnBody(txn, std::move(reads), std::move(writes));
   if (observed()) {
     // The decision point lives deep in the coordinator's async pipeline;

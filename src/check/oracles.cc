@@ -629,34 +629,17 @@ std::string OracleReport::Summary() const {
 }
 
 OracleReport RunOracles(const ExperimentSpec& spec,
-                        const ExperimentResult& result,
-                        const OracleOptions& options) {
+                        const ExperimentResult& result) {
   OracleReport report;
-  if (options.serializability) {
-    report.verdicts.push_back(
-        {"serializability", CheckSerializabilityOracle(result)});
-  }
-  if (options.sessions) {
-    report.verdicts.push_back({"sessions", CheckSessionsOracle(spec, result)});
-  }
-  if (options.shard_atomicity) {
-    report.verdicts.push_back(
-        {"shard_atomicity", CheckShardAtomicityOracle(result)});
-  }
-  if (options.staged_resolution) {
-    report.verdicts.push_back(
-        {"staged_resolution", CheckStagedResolutionOracle(result)});
-  }
-  if (options.exactly_once) {
-    report.verdicts.push_back(
-        {"exactly_once", CheckExactlyOnceOracle(spec, result)});
-  }
-  if (options.wal_replay) {
-    report.verdicts.push_back({"wal_replay", CheckWalReplayOracle(result)});
-  }
-  if (options.metrics) {
-    report.verdicts.push_back({"metrics", CheckMetricsOracle(spec, result)});
-  }
+  report.verdicts = {
+      {"serializability", CheckSerializabilityOracle(result)},
+      {"sessions", CheckSessionsOracle(spec, result)},
+      {"shard_atomicity", CheckShardAtomicityOracle(result)},
+      {"staged_resolution", CheckStagedResolutionOracle(result)},
+      {"exactly_once", CheckExactlyOnceOracle(spec, result)},
+      {"wal_replay", CheckWalReplayOracle(result)},
+      {"metrics", CheckMetricsOracle(spec, result)},
+  };
   return report;
 }
 

@@ -55,17 +55,6 @@
 
 namespace helios::check {
 
-struct OracleOptions {
-  bool serializability = true;
-  bool sessions = true;
-  /// Sharded captures only; pass trivially when capture->shards == 1.
-  bool shard_atomicity = true;
-  bool staged_resolution = true;
-  bool exactly_once = true;
-  bool wal_replay = true;
-  bool metrics = true;
-};
-
 struct OracleVerdict {
   std::string name;
   Status status;
@@ -85,13 +74,12 @@ struct OracleReport {
   std::string Summary() const;
 };
 
-/// Runs every enabled oracle over one finished experiment. `result` must
-/// come from a run with capture_artifacts and tracing enabled (see
-/// check::RunScenario); oracles whose inputs are missing fail crisply
-/// rather than vacuously passing.
+/// Runs every oracle over one finished experiment, serializability first.
+/// `result` must come from a run with capture_artifacts and tracing
+/// enabled (see check::RunScenario); oracles whose inputs are missing fail
+/// crisply rather than vacuously passing.
 OracleReport RunOracles(const harness::ExperimentSpec& spec,
-                        const harness::ExperimentResult& result,
-                        const OracleOptions& options = {});
+                        const harness::ExperimentResult& result);
 
 }  // namespace helios::check
 

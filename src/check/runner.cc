@@ -7,8 +7,7 @@ void ConfigureForChecking(harness::ExperimentConfig* config) {
   config->capture_artifacts = true;
 }
 
-ScenarioVerdict RunScenario(const harness::ExperimentSpec& spec,
-                            const OracleOptions& options) {
+ScenarioVerdict RunScenario(const harness::ExperimentSpec& spec) {
   ScenarioVerdict verdict;
   verdict.spec = spec;
   auto config = spec.ToConfig();
@@ -18,7 +17,7 @@ ScenarioVerdict RunScenario(const harness::ExperimentSpec& spec,
   }
   ConfigureForChecking(&config.value());
   const harness::ExperimentResult result = RunExperiment(config.value());
-  verdict.report = RunOracles(spec, result, options);
+  verdict.report = RunOracles(spec, result);
   return verdict;
 }
 

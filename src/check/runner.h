@@ -35,10 +35,9 @@ struct ScenarioVerdict {
   }
 };
 
-/// Runs `spec` and checks every enabled oracle. Deterministic: the same
-/// spec always produces the same verdict.
-ScenarioVerdict RunScenario(const harness::ExperimentSpec& spec,
-                            const OracleOptions& options = {});
+/// Runs `spec` and checks every oracle. Deterministic: the same spec
+/// always produces the same verdict.
+ScenarioVerdict RunScenario(const harness::ExperimentSpec& spec);
 
 }  // namespace helios::check
 

@@ -150,9 +150,8 @@ int CountFaultEvents(const ExperimentSpec& spec) {
 ShrinkResult Shrink(const ExperimentSpec& spec, const ShrinkOptions& options,
                     ScenarioEvaluator evaluate) {
   if (!evaluate) {
-    const OracleOptions oracles = options.oracles;
-    evaluate = [oracles](const ExperimentSpec& s) -> std::string {
-      const ScenarioVerdict v = RunScenario(s, oracles);
+    evaluate = [](const ExperimentSpec& s) -> std::string {
+      const ScenarioVerdict v = RunScenario(s);
       // A spec that no longer runs is not "the same failure".
       if (!v.run_status.ok()) return "";
       return v.report.FirstFailureName();

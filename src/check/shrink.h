@@ -30,8 +30,6 @@ struct ShrinkOptions {
   /// Budget: total candidate evaluations (each one a full simulation with
   /// the default evaluator).
   int max_runs = 250;
-  /// Oracles the default evaluator runs. Ignored with a custom evaluator.
-  OracleOptions oracles;
 };
 
 struct ShrinkResult {

@@ -76,14 +76,10 @@ std::unique_ptr<HeliosNode> HeliosCluster::MakeNode(int shard, DcId dc) {
   fresh->set_staged_resolver(
       [this, dc](const TxnId& id) { return ResolveStaged(dc, id); });
   // Durability is always on: every append/ingest and every GC-tick
-  // timetable snapshot lands in the per-datacenter MemoryWal. The sink is
-  // a pure memory side effect — no scheduler events, no RNG — so
-  // crash-free runs stay bit-identical.
-  wal::MemoryWal* wal = p.wals[static_cast<size_t>(dc)].get();
-  fresh->set_record_sink(
-      [wal](const rdict::LogRecord& rec) { (void)wal->AppendRecord(rec); });
-  fresh->set_timetable_sink(
-      [wal](const rdict::Timetable& t) { (void)wal->AppendTimetable(t); });
+  // timetable snapshot lands in the per-datacenter MemoryWal, which
+  // outlives the node. The append is a pure memory side effect — no
+  // scheduler events, no RNG — so crash-free runs stay bit-identical.
+  fresh->set_wal(p.wals[static_cast<size_t>(dc)].get());
   return fresh;
 }
 
@@ -149,6 +145,19 @@ void HeliosCluster::ClientCommit(DcId client_dc, std::vector<ReadEntry> reads,
           [this, done, link](const CommitOutcome& outcome) {
             scheduler_->After(link, [done, outcome]() { done(outcome); });
           });
+    });
+    return;
+  }
+  if (HasDuplicateWriteKey(writes)) {
+    // The coordinator refuses it before the split, so no slice ever
+    // carries the repeat: one client round trip, an abort it decided.
+    scheduler_->After(link, [this, client_dc, done = std::move(done),
+                             link]() {
+      if (datacenter_down(client_dc)) return;  // Client times out.
+      ++xstats_.aborted;
+      scheduler_->After(link, [done]() {
+        done(CommitOutcome{TxnId{}, false, kDuplicateWriteAbortReason});
+      });
     });
     return;
   }
@@ -528,67 +537,18 @@ NodeCounters HeliosCluster::AggregateCounters() const {
 
 void HeliosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
   const NodeCounters total = AggregateCounters();
-  registry->counter("node.read_requests").Set(total.read_requests);
-  registry->counter("node.commit_requests").Set(total.commit_requests);
-  registry->counter("node.commits").Set(total.commits);
-  registry->counter("node.aborts_on_request").Set(total.aborts_on_request);
-  registry->counter("node.aborts_by_remote").Set(total.aborts_by_remote);
-  registry->counter("node.aborts_liveness").Set(total.aborts_liveness);
-  registry->counter("node.records_ingested").Set(total.records_ingested);
-  registry->counter("node.envelopes_sent").Set(total.envelopes_sent);
-  // Only f > 0 acknowledges on receipt; gating keeps f = 0 snapshots'
-  // key set byte for byte.
-  if (config_.fault_tolerance > 0) {
-    registry->counter("node.acks_sent").Set(total.acks_sent);
-  }
-  registry->counter("node.refusals_issued").Set(total.refusals_issued);
-  registry->counter("node.read_only_txns").Set(total.read_only_txns);
-  // Protocol-neutral aliases so cross-protocol comparisons can key on the
-  // same names the baselines export. Client-facing totals: commits
-  // decided by the nodes plus cross-shard transactions decided by the
-  // coordinator.
-  registry->counter("protocol.commits").Set(total.commits + xstats_.committed);
-  registry->counter("protocol.aborts")
-      .Set(total.total_aborts() + xstats_.aborted);
   const int n = config_.num_datacenters;
+  std::vector<DatacenterNodes> dcs(static_cast<size_t>(n));
   for (DcId dc = 0; dc < n; ++dc) {
-    const std::string prefix = "node.dc" + std::to_string(dc);
-    double pt = 0.0, ept = 0.0, busy = 0.0;
-    for (int s = 0; s < num_shards(); ++s) {
-      pt += static_cast<double>(node(dc, s).pt_pool_size());
-      ept += static_cast<double>(node(dc, s).ept_pool_size());
-      busy += static_cast<double>(node(dc, s).service_queue().total_busy());
-    }
-    registry->gauge(prefix + ".pt_pool").Set(pt);
-    registry->gauge(prefix + ".ept_pool").Set(ept);
-    registry->gauge(prefix + ".service_busy_us").Set(busy);
+    DatacenterNodes& d = dcs[static_cast<size_t>(dc)];
+    d.dc = dc;
+    for (int s = 0; s < num_shards(); ++s) d.nodes.push_back(&node(dc, s));
   }
-  // Gated on the health config so runs without the subsystem keep their
-  // pre-existing metrics key set byte for byte.
-  if (config_.health.enabled) {
-    registry->counter("health.suspicions").Set(total.suspicions);
-    registry->counter("health.readmissions").Set(total.readmissions);
-    registry->counter("health.suspicion_refusals")
-        .Set(total.suspicion_refusals);
-    registry->counter("health.degraded_commits").Set(total.degraded_commits);
-    registry->counter("health.hedged_pulls").Set(total.hedged_pulls);
-    for (DcId dc = 0; dc < n; ++dc) {
-      const std::string prefix = "health.dc" + std::to_string(dc);
-      double suspected = 0.0;
-      for (DcId peer = 0; peer < n; ++peer) {
-        if (peer == dc) continue;
-        double phi = 0.0;
-        bool suspects = false;
-        for (int s = 0; s < num_shards(); ++s) {
-          phi = std::max(phi, node(dc, s).HealthPhi(peer));
-          suspects = suspects || node(dc, s).Suspects(peer);
-        }
-        registry->gauge(prefix + ".phi.dc" + std::to_string(peer)).Set(phi);
-        if (suspects) suspected += 1.0;
-      }
-      registry->gauge(prefix + ".suspected").Set(suspected);
-    }
-  }
+  ExportNodeMetrics(config_, total, dcs, registry);
+  // Client-facing totals: commits decided by the nodes plus cross-shard
+  // transactions decided by the coordinator.
+  registry->counter("protocol.commits").Inc(xstats_.committed);
+  registry->counter("protocol.aborts").Inc(xstats_.aborted);
   if (num_shards() == 1) return;
   // Cross-shard parallel-commit lifecycle (coordinator + slice views).
   registry->counter("xshard.single_shard").Set(xstats_.single_shard);

@@ -101,12 +101,10 @@ class HeliosCluster : public ProtocolCluster {
   void SetObservability(obs::TraceRecorder* trace,
                         obs::MetricsRegistry* metrics) override;
 
-  /// Dumps the node counters summed over every node (node.*, and the
-  /// protocol.* aliases with the coordinator's decisions added),
-  /// per-datacenter pool and service gauges summed across shards, and —
-  /// with health enabled — health.* with each peer's phi the max across
-  /// shards. With more than one shard also the coordinator's xshard.*,
-  /// per-shard shard.s<k>.* and per-datacenter staged_holds.
+  /// Dumps ExportNodeMetrics over every node (the counters summed, each
+  /// datacenter's shard nodes as one), with the coordinator's decisions
+  /// added to protocol.*. With more than one shard also the coordinator's
+  /// xshard.*, per-shard shard.s<k>.* and per-datacenter staged_holds.
   void ExportMetrics(obs::MetricsRegistry* registry) const override;
 
   /// Full datacenter outage: the network drops its traffic and every
@@ -190,7 +188,7 @@ class HeliosCluster : public ProtocolCluster {
     std::vector<std::unique_ptr<sim::Clock>> clocks;
     std::vector<std::unique_ptr<HeliosNode>> nodes;
     /// Per-datacenter durable state: survives node destruction, so a
-    /// crash wipes everything except what went through the sinks.
+    /// crash wipes everything except what the node journaled here.
     std::vector<std::unique_ptr<wal::MemoryWal>> wals;
     /// Data loaded outside the protocol (LoadInitialAll bypasses the log,
     /// so recovery must replay it separately before the WAL).
@@ -242,7 +240,7 @@ class HeliosCluster : public ProtocolCluster {
   int SingleShard(const std::vector<Key>& keys) const;
 
   /// Builds a fresh node for (`shard`, `dc`) with all cluster wiring (WAN
-  /// send, WAL sinks, history, staged resolver, observability). Used at
+  /// send, WAL, history, staged resolver, observability). Used at
   /// construction and for the amnesia restart on crash.
   std::unique_ptr<HeliosNode> MakeNode(int shard, DcId dc);
   /// SetDatacenterDown for one shard's node.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "health/phi_detector.h"
 
 namespace helios::core {
 
@@ -34,20 +33,6 @@ struct ServiceModel {
 /// (a peer may itself be down) and regular traffic fills any gap.
 constexpr Duration kCatchupRetryInterval = Millis(250);
 constexpr int kCatchupRounds = 5;
-
-/// Gray-failure health machinery (src/health + the suspicion-driven
-/// degraded commit in HeliosNode). Off by default: detection feeds from
-/// envelope arrivals and evaluation piggybacks on the gossip tick, so
-/// enabling it schedules no new events, but suspicion reactions do change
-/// protocol behavior under crashes — experiments opt in explicitly.
-/// Enabled, a suspicion quorum licenses commits that skip the suspect
-/// (degraded commit; requires f >= 1 and the Helios rule) and hedged
-/// catch-up pulls every 100 ms.
-struct HealthConfig {
-  bool enabled = false;
-  /// phi-accrual tuning (threshold, window, floors).
-  health::PhiOptions phi;
-};
 
 struct HeliosConfig {
   int num_datacenters = 0;
@@ -84,8 +69,16 @@ struct HeliosConfig {
   /// means perfectly synchronized clocks.
   std::vector<Duration> clock_offsets;
 
-  /// Gray-failure detection and reaction (src/health).
-  HealthConfig health;
+  /// Gray-failure health machinery (src/health + the suspicion-driven
+  /// degraded commit in HeliosNode). Off by default: detection feeds from
+  /// envelope arrivals and evaluation piggybacks on the gossip tick, so
+  /// enabling it schedules no new events, but suspicion reactions do change
+  /// protocol behavior under crashes — experiments opt in explicitly.
+  /// Enabled, a phi-accrual detector (health/phi_detector.h) watches every
+  /// peer, a suspicion quorum licenses commits that skip the suspect
+  /// (degraded commit; requires f >= 1 and the Helios rule) and hedged
+  /// catch-up pulls go out every 100 ms.
+  bool health_enabled = false;
 
   /// Transaction-sequence interleaving for sharded deployments (src/shard):
   /// a node mints TxnId sequence numbers start, start+stride, ... so the S

@@ -36,9 +36,9 @@ HeliosNode::HeliosNode(DcId id, const HeliosConfig& config,
   HELIOS_CHECK(kind_ != LogProtocolKind::kMessageFutures ||
                    config_.fault_tolerance == 0,
                "Message Futures runs with f = 0");
-  if (config_.health.enabled) {
+  if (config_.health_enabled) {
     peer_health_ = std::make_unique<health::PeerHealth>(
-        config_.num_datacenters, id_, config_.health.phi);
+        config_.num_datacenters, id_);
     remote_suspects_.resize(static_cast<size_t>(config_.num_datacenters));
     suspect_watermark_.assign(static_cast<size_t>(config_.num_datacenters),
                               kMinTimestamp);
@@ -244,6 +244,13 @@ void HeliosNode::ProcessCommitRequest(std::vector<ReadEntry> reads,
     return;
   }
   ++counters_.commit_requests;
+  if (HasDuplicateWriteKey(writes)) {
+    // A malformed client request: refused on arrival, before it becomes
+    // a transaction.
+    ++counters_.aborts_on_request;
+    reply(CommitOutcome{TxnId{}, false, kDuplicateWriteAbortReason});
+    return;
+  }
   const TxnId id{id_, next_txn_seq_};
   next_txn_seq_ += config_.txn_seq_stride;
   TxnBodyPtr body = MakeTxnBody(id, std::move(reads), std::move(writes));
@@ -512,8 +519,10 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
       }
     }
   }
-  if (record_sink_) {
-    for (const rdict::LogRecord& rec : fresh) record_sink_(rec);
+  if (wal_ != nullptr) {
+    for (const rdict::LogRecord& rec : fresh) {
+      CheckJournaled(wal_->AppendRecord(rec));
+    }
   }
 
   bool sender_prepared = false;  // Fresh preparing records of the sender's.
@@ -1051,8 +1060,13 @@ void HeliosNode::DeferApplyIo(const TxnBody& body) {
 Status HeliosNode::AppendOwn(const rdict::LogRecord& rec) {
   if (Status append = log_.AppendLocal(rec); !append.ok()) return append;
   if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
-  if (record_sink_) record_sink_(rec);
+  if (wal_ != nullptr) CheckJournaled(wal_->AppendRecord(rec));
   return Status::Ok();
+}
+
+void HeliosNode::CheckJournaled(const Status& appended) const {
+  HELIOS_CHECK(appended.ok(),
+               "dc" + std::to_string(id_) + ": " + appended.ToString());
 }
 
 Status HeliosNode::AppendFinished(const TxnBodyPtr& body, bool committed,
@@ -1121,7 +1135,7 @@ void HeliosNode::RunGc() {
     }
     // Checkpoint knowledge: piggybacking on the GC tick keeps the WAL
     // write off the event schedule (bit-identity of crash-free runs).
-    if (timetable_sink_) timetable_sink_(log_.table());
+    if (wal_ != nullptr) CheckJournaled(wal_->AppendTimetable(log_.table()));
   }
   scheduler_->After(config_.gc_interval, Guarded([this]() { RunGc(); }));
 }
@@ -1136,7 +1150,7 @@ void HeliosNode::MergeRefusals(const std::vector<Refusal>& refusals) {
   }
 }
 
-// --- Gray-failure health (config.health) --------------------------------------
+// --- Gray-failure health (config.health_enabled) ----------------------------
 
 void HeliosNode::EvaluateHealth() {
   if (peer_health_ == nullptr) return;
@@ -1320,6 +1334,67 @@ std::vector<Refusal> HeliosNode::RefusalsSnapshot() const {
     }
   }
   return out;
+}
+
+void ExportNodeMetrics(const HeliosConfig& config, const NodeCounters& counters,
+                       const std::vector<DatacenterNodes>& dcs,
+                       obs::MetricsRegistry* registry) {
+  registry->counter("node.read_requests").Set(counters.read_requests);
+  registry->counter("node.commit_requests").Set(counters.commit_requests);
+  registry->counter("node.commits").Set(counters.commits);
+  registry->counter("node.aborts_on_request").Set(counters.aborts_on_request);
+  registry->counter("node.aborts_by_remote").Set(counters.aborts_by_remote);
+  registry->counter("node.aborts_liveness").Set(counters.aborts_liveness);
+  registry->counter("node.records_ingested").Set(counters.records_ingested);
+  registry->counter("node.envelopes_sent").Set(counters.envelopes_sent);
+  // Only f > 0 acknowledges on receipt; gating keeps f = 0 snapshots'
+  // key set byte for byte.
+  if (config.fault_tolerance > 0) {
+    registry->counter("node.acks_sent").Set(counters.acks_sent);
+  }
+  registry->counter("node.refusals_issued").Set(counters.refusals_issued);
+  registry->counter("node.read_only_txns").Set(counters.read_only_txns);
+  // Protocol-neutral aliases so cross-protocol comparisons can key on the
+  // same names the baselines export.
+  registry->counter("protocol.commits").Set(counters.commits);
+  registry->counter("protocol.aborts").Set(counters.total_aborts());
+  for (const DatacenterNodes& d : dcs) {
+    const std::string prefix = "node.dc" + std::to_string(d.dc);
+    double pt = 0.0, ept = 0.0, busy = 0.0;
+    for (const HeliosNode* node : d.nodes) {
+      pt += static_cast<double>(node->pt_pool_size());
+      ept += static_cast<double>(node->ept_pool_size());
+      busy += static_cast<double>(node->service_queue().total_busy());
+    }
+    registry->gauge(prefix + ".pt_pool").Set(pt);
+    registry->gauge(prefix + ".ept_pool").Set(ept);
+    registry->gauge(prefix + ".service_busy_us").Set(busy);
+  }
+  // Gated on the health config so runs without the subsystem keep their
+  // key set byte for byte.
+  if (!config.health_enabled) return;
+  registry->counter("health.suspicions").Set(counters.suspicions);
+  registry->counter("health.readmissions").Set(counters.readmissions);
+  registry->counter("health.suspicion_refusals")
+      .Set(counters.suspicion_refusals);
+  registry->counter("health.degraded_commits").Set(counters.degraded_commits);
+  registry->counter("health.hedged_pulls").Set(counters.hedged_pulls);
+  for (const DatacenterNodes& d : dcs) {
+    const std::string prefix = "health.dc" + std::to_string(d.dc);
+    double suspected = 0.0;
+    for (DcId peer = 0; peer < config.num_datacenters; ++peer) {
+      if (peer == d.dc) continue;
+      double phi = 0.0;
+      bool suspects = false;
+      for (const HeliosNode* node : d.nodes) {
+        phi = std::max(phi, node->HealthPhi(peer));
+        suspects = suspects || node->Suspects(peer);
+      }
+      registry->gauge(prefix + ".phi.dc" + std::to_string(peer)).Set(phi);
+      if (suspects) suspected += 1.0;
+    }
+    registry->gauge(prefix + ".suspected").Set(suspected);
+  }
 }
 
 }  // namespace helios::core

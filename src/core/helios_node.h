@@ -44,6 +44,7 @@
 #include "sim/service_queue.h"
 #include "store/mv_store.h"
 #include "txn/pool.h"
+#include "wal/wal_sink.h"
 
 namespace helios::core {
 
@@ -67,7 +68,7 @@ struct NodeCounters {
                                      ///< also counted in envelopes_sent.
   uint64_t refusals_issued = 0;
   uint64_t read_only_txns = 0;
-  // Gray-failure health machinery (config.health).
+  // Gray-failure health machinery (config.health_enabled).
   uint64_t suspicions = 0;           ///< Suspicion onsets (phi crossings).
   uint64_t readmissions = 0;         ///< Suspects welcomed back.
   uint64_t suspicion_refusals = 0;   ///< Refusals issued because of suspicion
@@ -293,20 +294,15 @@ class HeliosNode {
   void SetObservability(obs::TraceRecorder* trace,
                         obs::MetricsRegistry* metrics);
 
-  /// Optional durability hook: invoked with every record this node appends
-  /// locally or ingests fresh from a peer, in processing order. A
-  /// write-ahead log (src/wal) plugged in here makes the node recoverable
-  /// with Restore().
-  using RecordSink = std::function<void(const rdict::LogRecord&)>;
-  void set_record_sink(RecordSink sink) { record_sink_ = std::move(sink); }
-
-  /// Companion durability hook: invoked with the current timetable on
-  /// every GC tick, checkpointing knowledge so recovery does not have to
-  /// re-derive it record by record.
-  using TimetableSink = std::function<void(const rdict::Timetable&)>;
-  void set_timetable_sink(TimetableSink sink) {
-    timetable_sink_ = std::move(sink);
-  }
+  /// Optional durability hook: every record this node appends locally or
+  /// ingests fresh from a peer, in processing order, and the timetable on
+  /// every GC tick (a knowledge checkpoint, so recovery does not have to
+  /// re-derive it record by record). A write-ahead log plugged in here
+  /// makes the node recoverable with Restore(). The host owns `wal`, which
+  /// outlives the node (a simulated MemoryWal survives an amnesia restart).
+  /// A failed append stops the process: a record peers or clients may
+  /// already know of must never go unjournaled.
+  void set_wal(wal::WalSink* wal) { wal_ = wal; }
 
   /// Recovery: rebuilds the node's state from the records (and optional
   /// timetable snapshot) replayed from its write-ahead log. Must run
@@ -366,7 +362,7 @@ class HeliosNode {
   /// The currently effective offset co[self][x].
   Duration OffsetTo(DcId x) const;
 
-  // --- Gray-failure health (config.health) --------------------------------
+  // --- Gray-failure health (config.health_enabled) ------------------------
 
   /// Freezes this node's event loop for `pause`: everything already queued
   /// or arriving waits out the pause, and the node neither gossips nor
@@ -518,10 +514,13 @@ class HeliosNode {
   PendingMap::iterator FindPending(const TxnId& id);
 
   /// The one append path for records this node originates: appends `rec`
-  /// to the log, charges the fsync-stall penalty and feeds the WAL sink.
+  /// to the log, charges the fsync-stall penalty and journals it to the WAL.
   /// A rejected append (foreign origin, non-increasing timestamp) touches
   /// neither. Callers outside Restore stop the process on failure.
   Status AppendOwn(const rdict::LogRecord& rec);
+  /// Stops the process, naming this datacenter and the error, unless
+  /// `appended` (a WAL append's result) is OK.
+  void CheckJournaled(const Status& appended) const;
   /// AppendOwn of the finished record for `body`, at NextRecordTs.
   Status AppendFinished(const TxnBodyPtr& body, bool committed,
                         Timestamp version_ts);
@@ -550,7 +549,7 @@ class HeliosNode {
   /// refusal quorum), and the Helios rule (Message Futures waits on the
   /// suspect's own acknowledgment, which no quorum can stand in for).
   bool ReactionEnabled() const {
-    return config_.health.enabled && config_.fault_tolerance > 0 &&
+    return config_.health_enabled && config_.fault_tolerance > 0 &&
            kind_ == LogProtocolKind::kHelios;
   }
 
@@ -661,8 +660,7 @@ class HeliosNode {
   obs::Histogram* h_commit_wait_us_ = nullptr;
   obs::Histogram* h_commit_total_us_ = nullptr;
   obs::Histogram* h_abort_total_us_ = nullptr;
-  RecordSink record_sink_;
-  TimetableSink timetable_sink_;
+  wal::WalSink* wal_ = nullptr;
   /// Recycles outgoing envelopes; in-flight shared_ptrs survive this
   /// node's destruction (amnesia crash) via the pool's weak deleter.
   common::ObjectPool<Envelope> envelope_pool_;
@@ -672,7 +670,7 @@ class HeliosNode {
   /// Runtime override of co[self][*]; empty = use the config's offsets.
   std::vector<Duration> offset_row_override_;
 
-  // --- Gray-failure health state (null/empty unless config.health.enabled;
+  // --- Gray-failure health state (null/empty unless config.health_enabled;
   // the zero-fault hot path only ever pays pointer/empty checks) ----------
   /// phi-accrual detectors fed from envelope arrivals (scheduler basis).
   std::unique_ptr<health::PeerHealth> peer_health_;
@@ -697,6 +695,28 @@ class HeliosNode {
   sim::SimTime fsync_stall_until_ = 0;
   Duration fsync_penalty_ = 0;
 };
+
+/// One datacenter's Helios nodes, for ExportNodeMetrics: every shard node
+/// of a simulated datacenter, or the one node of a live process.
+struct DatacenterNodes {
+  DcId dc = 0;
+  std::vector<const HeliosNode*> nodes;
+};
+
+/// Writes every metric a Helios node exports, under the names a simulated
+/// cluster (HeliosCluster) and a live node (transport::LiveDatacenter)
+/// share. From `counters`: the node.* counters (node.acks_sent only with
+/// f > 0), protocol.commits and protocol.aborts (a caller adds decisions
+/// taken outside the nodes, such as a cross-shard coordinator's) and, with
+/// health on, the health.* counters. For each datacenter in `dcs`: the
+/// node.dc<d>.pt_pool, .ept_pool and .service_busy_us gauges, summed over
+/// its nodes, and with health on health.dc<d>.phi.dc<p> (the max over its
+/// nodes) and health.dc<d>.suspected (peers any of its nodes suspects).
+/// Names gated off stay absent, so a run without f > 0 or health keeps
+/// its key set.
+void ExportNodeMetrics(const HeliosConfig& config, const NodeCounters& counters,
+                       const std::vector<DatacenterNodes>& dcs,
+                       obs::MetricsRegistry* registry);
 
 }  // namespace helios::core
 

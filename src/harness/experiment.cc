@@ -103,10 +103,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     HELIOS_CHECK(st.ok(), "gray faults not installed: " + st.ToString());
   }
   ExperimentResult result;
+  // Declared before the cluster and the clients, which hold pointers into
+  // it, so it outlives them.
+  std::unique_ptr<obs::MetricsRegistry> registry;
   if (config.trace.enabled) {
     result.trace =
         std::make_shared<obs::TraceRecorder>(config.trace.ring_capacity);
-    result.metrics_registry = std::make_shared<obs::MetricsRegistry>();
+    registry = std::make_unique<obs::MetricsRegistry>();
     network.set_trace_recorder(result.trace.get());
   }
 
@@ -130,7 +133,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     hc.client_link_one_way = config.client_link_one_way;
     hc.service = config.service;
     hc.clock_offsets = config.clock_offsets;
-    hc.health = config.health;
+    hc.health_enabled = config.health_enabled;
     if (config.protocol != Protocol::kHeliosB && !mf) {
       hc.commit_offsets = PlanCommitOffsets(config.topology,
                                             config.rtt_estimate_ms);
@@ -172,7 +175,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     cluster->LoadInitialAll(
         workload::TYcsbGenerator::Preload(config.workload.num_keys));
   }
-  cluster->SetObservability(result.trace.get(), result.metrics_registry.get());
+  cluster->SetObservability(result.trace.get(), registry.get());
   cluster->Start();
 
   // Timed chaos events: each crash/recover flips both the network (drop
@@ -219,8 +222,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
         static_cast<uint64_t>(c), home, cluster.get(), &scheduler,
         config.workload, config.seed + 1000003, measure_from, measure_until,
         /*stop_at=*/measure_until));
-    clients.back()->SetObservability(result.trace.get(),
-                                     result.metrics_registry.get());
+    clients.back()->SetObservability(result.trace.get(), registry.get());
     if (config.client_commit_timeout > 0) {
       clients.back()->SetCommitTimeout(config.client_commit_timeout,
                                        config.client_max_retries,
@@ -340,8 +342,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     result.capture = std::move(cap);
   }
 
-  if (result.metrics_registry != nullptr) {
-    obs::MetricsRegistry* reg = result.metrics_registry.get();
+  if (registry != nullptr) {
+    obs::MetricsRegistry* reg = registry.get();
     cluster->ExportMetrics(reg);
     // Gated on an actual recovery so crash-free snapshots keep their
     // pre-existing key set byte for byte.

@@ -120,7 +120,7 @@ struct ExperimentConfig {
   /// (docs/FAULTS.md "Gray failures and suspicion"). Disabled by default:
   /// the detector then never exists and runs stay bit-identical to builds
   /// without the subsystem. Baselines ignore it.
-  core::HealthConfig health;
+  bool health_enabled = false;
 
   /// Client-side commit timeout (docs/RECOVERY.md): a transaction attempt
   /// exceeding this is abandoned and retried with exponential backoff
@@ -217,10 +217,9 @@ struct ExperimentResult {
 
   /// Populated when config.trace.enabled: the full per-transaction event
   /// trace (exportable as Chrome trace_event JSON) and the metrics
-  /// snapshot taken at the end of the run. The live registry is also kept
-  /// so callers can inspect raw histograms.
+  /// snapshot taken at the end of the run, each histogram with its bounds
+  /// and buckets.
   std::shared_ptr<obs::TraceRecorder> trace;
-  std::shared_ptr<obs::MetricsRegistry> metrics_registry;
   obs::MetricsSnapshot metrics;
 
   /// Populated when config.capture_artifacts: the oracle inputs.

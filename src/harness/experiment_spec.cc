@@ -230,7 +230,7 @@ Result<ExperimentConfig> ExperimentSpec::ToConfig() const {
   cfg.client_max_retries = client_retries;
   cfg.trace.enabled = trace_enabled;
   if (trace_ring_capacity > 0) cfg.trace.ring_capacity = trace_ring_capacity;
-  cfg.health.enabled = health_enabled;
+  cfg.health_enabled = health_enabled;
   return cfg;
 }
 

@@ -6,9 +6,8 @@
 
 namespace helios::health {
 
-PhiDetector::PhiDetector(const PhiOptions& options) : options_(options) {
-  assert(options_.window > 0);
-  intervals_.reserve(static_cast<size_t>(options_.window));
+PhiDetector::PhiDetector() {
+  intervals_.reserve(static_cast<size_t>(kPhiWindow));
 }
 
 void PhiDetector::Arrival(int64_t now) {
@@ -20,7 +19,7 @@ void PhiDetector::Arrival(int64_t now) {
   assert(now >= last_arrival_);
   const int64_t interval = now - last_arrival_;
   last_arrival_ = now;
-  if (static_cast<int>(intervals_.size()) < options_.window) {
+  if (static_cast<int>(intervals_.size()) < kPhiWindow) {
     intervals_.push_back(interval);
   } else {
     const int64_t evicted = intervals_[next_slot_];
@@ -34,21 +33,21 @@ void PhiDetector::Arrival(int64_t now) {
 }
 
 double PhiDetector::MeanInterval() const {
-  if (static_cast<int>(intervals_.size()) < options_.min_samples) {
-    return static_cast<double>(options_.bootstrap_interval);
+  if (static_cast<int>(intervals_.size()) < kPhiMinSamples) {
+    return static_cast<double>(kPhiBootstrapInterval);
   }
   return sum_ / static_cast<double>(intervals_.size());
 }
 
 double PhiDetector::StddevInterval() const {
   double var = 0.0;
-  if (static_cast<int>(intervals_.size()) >= options_.min_samples) {
+  if (static_cast<int>(intervals_.size()) >= kPhiMinSamples) {
     const double n = static_cast<double>(intervals_.size());
     const double mean = sum_ / n;
     var = std::max(0.0, sum_sq_ / n - mean * mean);
   }
-  const double floor = std::max(static_cast<double>(options_.min_stddev),
-                                options_.min_stddev_fraction * MeanInterval());
+  const double floor = std::max(static_cast<double>(kPhiMinStddev),
+                                kPhiMinStddevFraction * MeanInterval());
   return std::max(std::sqrt(var), floor);
 }
 
@@ -71,12 +70,9 @@ double PhiDetector::Phi(int64_t now) const {
   return -std::log10(std::max(p_later, 1e-300));
 }
 
-PeerHealth::PeerHealth(int num_datacenters, DcId self,
-                       const PhiOptions& options)
-    : options_(options), self_(self) {
+PeerHealth::PeerHealth(int num_datacenters, DcId self) : self_(self) {
   assert(num_datacenters > 0 && self >= 0 && self < num_datacenters);
-  detectors_.assign(static_cast<size_t>(num_datacenters),
-                    PhiDetector(options));
+  detectors_.assign(static_cast<size_t>(num_datacenters), PhiDetector());
 }
 
 void PeerHealth::OnArrival(DcId peer, int64_t now) {
@@ -90,7 +86,7 @@ double PeerHealth::Phi(DcId peer, int64_t now) const {
 }
 
 bool PeerHealth::Suspected(DcId peer, int64_t now) const {
-  return Phi(peer, now) > options_.threshold;
+  return Phi(peer, now) > kPhiThreshold;
 }
 
 }  // namespace helios::health

@@ -27,27 +27,26 @@
 
 namespace helios::health {
 
-/// Tuning knobs. The defaults suit the simulator's 10 ms gossip tick: with
-/// regular arrivals phi crosses 8 after roughly a dozen missed ticks, and
-/// jittered-but-regular heartbeats stay far below threshold.
-struct PhiOptions {
-  /// Suspicion threshold: phi = 8 means "the chance this silence is normal
-  /// is 10^-8". Larger = slower but more certain.
-  double threshold = 8.0;
-  /// Sliding window of inter-arrival samples the distribution is fit to.
-  int window = 32;
-  /// Variance floor so a perfectly regular heartbeat (stddev 0) does not
-  /// make the detector hair-triggered on the first late tick.
-  Duration min_stddev = Millis(2);
-  /// Relative variance floor: stddev is never taken below this fraction of
-  /// the fitted mean, so slow-cadence links tolerate proportionally more
-  /// silence than fast ones even when their observed jitter is zero.
-  double min_stddev_fraction = 0.2;
-  /// Assumed mean inter-arrival before `min_samples` real samples exist.
-  Duration bootstrap_interval = Millis(50);
-  /// Arrivals needed before the fitted distribution replaces the bootstrap.
-  int min_samples = 3;
-};
+// Tuning, sized for the simulator's 10 ms gossip tick: with regular
+// arrivals phi crosses kPhiThreshold after roughly a dozen missed ticks,
+// and jittered-but-regular heartbeats stay far below it.
+
+/// Suspicion threshold: phi = 8 means "the chance this silence is normal is
+/// 10^-8". Larger = slower but more certain.
+inline constexpr double kPhiThreshold = 8.0;
+/// Sliding window of inter-arrival samples the distribution is fit to.
+inline constexpr int kPhiWindow = 32;
+/// Variance floor so a perfectly regular heartbeat (stddev 0) does not make
+/// the detector hair-triggered on the first late tick.
+inline constexpr Duration kPhiMinStddev = Millis(2);
+/// Relative variance floor: stddev is never taken below this fraction of
+/// the fitted mean, so slow-cadence links tolerate proportionally more
+/// silence than fast ones even when their observed jitter is zero.
+inline constexpr double kPhiMinStddevFraction = 0.2;
+/// Assumed mean inter-arrival before kPhiMinSamples real samples exist.
+inline constexpr Duration kPhiBootstrapInterval = Millis(50);
+/// Arrivals needed before the fitted distribution replaces the bootstrap.
+inline constexpr int kPhiMinSamples = 3;
 
 /// Suspicion level for ONE peer. Feed Arrival() at every receipt; query
 /// Phi() at any later instant. Times are any monotonic microsecond basis
@@ -55,7 +54,7 @@ struct PhiOptions {
 /// differences are used.
 class PhiDetector {
  public:
-  explicit PhiDetector(const PhiOptions& options = PhiOptions());
+  PhiDetector();
 
   /// Records a heartbeat/knowledge arrival at `now`. Arrivals must be fed
   /// in non-decreasing time order.
@@ -66,20 +65,19 @@ class PhiDetector {
   /// Strictly non-decreasing between arrivals.
   double Phi(int64_t now) const;
 
-  bool Suspected(int64_t now) const { return Phi(now) > options_.threshold; }
+  bool Suspected(int64_t now) const { return Phi(now) > kPhiThreshold; }
 
   int64_t last_arrival() const { return last_arrival_; }
   int samples() const { return static_cast<int>(intervals_.size()); }
 
   /// Fitted mean of the windowed inter-arrival distribution (bootstrap
-  /// value until min_samples arrivals), for introspection and tests.
+  /// value until kPhiMinSamples arrivals), for introspection and tests.
   double MeanInterval() const;
   double StddevInterval() const;
 
  private:
-  PhiOptions options_;
   int64_t last_arrival_ = -1;
-  /// Ring buffer of the last `window` inter-arrival durations.
+  /// Ring buffer of the last kPhiWindow inter-arrival durations.
   std::vector<int64_t> intervals_;
   size_t next_slot_ = 0;
   /// Running sums over the ring for O(1) mean/variance.
@@ -92,8 +90,7 @@ class PhiDetector {
 /// no detector (a node never suspects itself... through this class).
 class PeerHealth {
  public:
-  PeerHealth(int num_datacenters, DcId self,
-             const PhiOptions& options = PhiOptions());
+  PeerHealth(int num_datacenters, DcId self);
 
   void OnArrival(DcId peer, int64_t now);
 
@@ -103,12 +100,10 @@ class PeerHealth {
   const PhiDetector& detector(DcId peer) const {
     return detectors_[static_cast<size_t>(peer)];
   }
-  const PhiOptions& options() const { return options_; }
   int size() const { return static_cast<int>(detectors_.size()); }
   DcId self() const { return self_; }
 
  private:
-  PhiOptions options_;
   DcId self_;
   std::vector<PhiDetector> detectors_;  // indexed by DcId; self unused.
 };

@@ -34,7 +34,7 @@ core::HeliosConfig ClusterSpec::MakeConfig() const {
   config.fault_tolerance = fault_tolerance;
   config.grace_time = grace_time;
   config.log_interval = log_interval;
-  config.health.enabled = health_enabled;
+  config.health_enabled = health_enabled;
   return config;
 }
 

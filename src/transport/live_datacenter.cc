@@ -82,19 +82,10 @@ Status LiveDatacenter::EnableWal(const std::string& path,
   wal_ = std::make_unique<wal::FileWal>();
   Status opened = wal_->Open(path, opts);
   if (!opened.ok()) return opened;
-  // Fail-stop: a record the node could not journal may already be known
-  // to peers and clients, and a restart must never forget it.
-  node_->set_record_sink([this](const rdict::LogRecord& rec) {
-    const Status s = wal_->AppendRecord(rec);
-    HELIOS_CHECK(s.ok(), "dc" + std::to_string(id_) + ": " + s.ToString());
-  });
-  // Periodic knowledge checkpoint (the node emits one per GC tick): lets
-  // Restore resume catch-up from the snapshot instead of replaying the
-  // timetable from zero.
-  node_->set_timetable_sink([this](const rdict::Timetable& t) {
-    const Status s = wal_->AppendTimetable(t);
-    HELIOS_CHECK(s.ok(), "dc" + std::to_string(id_) + ": " + s.ToString());
-  });
+  // The node journals every record and, once per GC tick, its timetable
+  // (a knowledge checkpoint that lets Restore resume catch-up from the
+  // snapshot), and stops the process if an append fails.
+  node_->set_wal(wal_.get());
   return Status::Ok();
 }
 
@@ -230,35 +221,33 @@ CommitOutcome LiveDatacenter::CommitSync(std::vector<ReadEntry> reads,
   return future.get();
 }
 
+void LiveDatacenter::OnLoop(const std::function<void()>& fn) {
+  if (started_) {
+    loop_.PostAndWait(fn);
+  } else {
+    fn();
+  }
+}
+
 void LiveDatacenter::LoadInitial(const Key& key, const Value& value) {
   const InitialRows row{{key, value}};
-  if (started_) {
-    loop_.PostAndWait([this, &row]() { node_->LoadInitial(row); });
-  } else {
-    node_->LoadInitial(row);
-  }
+  OnLoop([this, &row]() { node_->LoadInitial(row); });
 }
 
 core::NodeCounters LiveDatacenter::CountersSnapshot() {
   core::NodeCounters out;
-  if (!started_) return node_->counters();
-  loop_.PostAndWait([this, &out]() { out = node_->counters(); });
+  OnLoop([this, &out]() { out = node_->counters(); });
   return out;
 }
 
 std::string LiveDatacenter::DumpStore() {
   std::map<Key, VersionedValue> latest;
-  const auto collect = [this, &latest]() {
+  OnLoop([this, &latest]() {
     node_->store().ForEachLatest(
         [&latest](const Key& key, const VersionedValue& vv) {
           latest[key] = vv;
         });
-  };
-  if (started_) {
-    loop_.PostAndWait(collect);
-  } else {
-    collect();
-  }
+  });
   std::ostringstream out;
   for (const auto& [key, vv] : latest) {
     out << key << '\t' << vv.value << '\t' << vv.ts << '\t'
@@ -276,57 +265,53 @@ OverloadStats LiveDatacenter::overload_snapshot() const {
   return out;
 }
 
-HealthSnapshot LiveDatacenter::health_snapshot() {
-  HealthSnapshot out;
-  if (!config_.health.enabled) return out;
-  out.enabled = true;
-  const size_t n = static_cast<size_t>(config_.num_datacenters);
-  out.phi.assign(n, 0.0);
-  out.suspected.assign(n, false);
-  const auto collect = [this, &out]() {
-    for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-      if (dc == id_) continue;
-      out.phi[static_cast<size_t>(dc)] = node_->HealthPhi(dc);
-      out.suspected[static_cast<size_t>(dc)] = node_->Suspects(dc);
-    }
-  };
-  if (started_) {
-    loop_.PostAndWait(collect);
-  } else {
-    collect();
-  }
-  return out;
-}
-
-core::ClockStepStats LiveDatacenter::clock_snapshot() {
-  core::ClockStepStats out;
-  if (!started_) return node_->clock_step_stats();
-  loop_.PostAndWait([this, &out]() { out = node_->clock_step_stats(); });
-  return out;
-}
-
 RecoveryStats LiveDatacenter::recovery_snapshot() const {
   std::lock_guard<std::mutex> lock(recovery_mu_);
   return recovery_;
 }
 
-WalStats LiveDatacenter::wal_snapshot() {
-  WalStats out;
-  if (wal_ == nullptr) return out;
-  out.enabled = true;
-  out.fsyncs = wal_->fsyncs();
-  out.fsync_us_total = wal_->fsync_us_total();
-  out.fsync_us_max = wal_->fsync_us_max();
-  const auto collect = [this, &out]() {
-    out.bytes_written = wal_->bytes_written();
-    out.entries_appended = wal_->entries_appended();
-  };
-  if (started_) {
-    loop_.PostAndWait(collect);
-  } else {
-    collect();
+void LiveDatacenter::ExportMetrics(obs::MetricsRegistry* registry) {
+  OnLoop([this, registry]() {
+    core::ExportNodeMetrics(config_, node_->counters(), {{id_, {node_.get()}}},
+                            registry);
+    const core::ClockStepStats clock = node_->clock_step_stats();
+    registry->counter("clock.steps").Set(clock.steps);
+    registry->counter("clock.stepped_us")
+        .Set(static_cast<uint64_t>(clock.stepped_us));
+    if (wal_ != nullptr) {
+      registry->counter("wal.bytes_written").Set(wal_->bytes_written());
+      registry->counter("wal.entries_appended").Set(wal_->entries_appended());
+    }
+  });
+  const OverloadStats overload = overload_snapshot();
+  registry->counter("overload.admitted").Set(overload.admitted);
+  registry->counter("overload.shed").Set(overload.shed);
+  registry->gauge("overload.inflight")
+      .Set(static_cast<double>(overload.inflight));
+  registry->gauge("overload.queue_depth")
+      .Set(static_cast<double>(overload.queue_depth));
+  const RecoveryStats recovery = recovery_snapshot();
+  registry->counter("recovery.recoveries").Set(recovery.recoveries);
+  registry->counter("recovery.records_replayed")
+      .Set(recovery.records_replayed);
+  registry->counter("recovery.catchup_records").Set(recovery.catchup_records);
+  registry->counter("recovery.duration_us").Set(recovery.duration_us);
+  registry->counter("transport.messages_sent")
+      .Set(transport_->messages_sent());
+  registry->counter("transport.messages_received")
+      .Set(transport_->messages_received());
+  registry->counter("transport.reconnects").Set(transport_->reconnects());
+  registry->counter("transport.sends_blocked")
+      .Set(transport_->sends_blocked());
+  registry->gauge("transport.redial_cooldown_remaining_ms")
+      .Set(static_cast<double>(transport_->redial_cooldown_remaining_ms()));
+  // The fsync figures come from the WAL's atomics: its syncer thread
+  // updates them off the loop.
+  if (wal_ != nullptr) {
+    registry->counter("wal.fsyncs").Set(wal_->fsyncs());
+    registry->counter("wal.fsync_us_total").Set(wal_->fsync_us_total());
+    registry->counter("wal.fsync_us_max").Set(wal_->fsync_us_max());
   }
-  return out;
 }
 
 }  // namespace helios::transport

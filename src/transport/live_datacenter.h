@@ -36,6 +36,7 @@
 #define HELIOS_TRANSPORT_LIVE_DATACENTER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,6 +45,7 @@
 #include "api/protocol.h"
 #include "core/helios_config.h"
 #include "core/helios_node.h"
+#include "obs/metrics.h"
 #include "sim/clock.h"
 #include "transport/realtime_loop.h"
 #include "transport/tcp_transport.h"
@@ -63,28 +65,7 @@ struct AdmissionConfig {
   bool enabled() const { return max_inflight > 0 || queue_watermark > 0; }
 };
 
-/// Failure-detector snapshot (exported as health.* metrics by heliosd).
-/// Vectors are indexed by peer DC id; the entry for this node itself is
-/// 0 / false. Empty (enabled = false) when the cluster runs without the
-/// health subsystem.
-struct HealthSnapshot {
-  bool enabled = false;
-  std::vector<double> phi;        ///< Accrual suspicion level per peer.
-  std::vector<bool> suspected;    ///< Currently past the phi threshold.
-};
-
-/// WAL counters (exported as wal.* metrics by heliosd). Empty (enabled =
-/// false) when the datacenter runs without a WAL.
-struct WalStats {
-  bool enabled = false;
-  uint64_t bytes_written = 0;
-  uint64_t entries_appended = 0;
-  uint64_t fsyncs = 0;          ///< fsync() calls issued.
-  uint64_t fsync_us_total = 0;  ///< Wall time in fsync(), summed.
-  uint64_t fsync_us_max = 0;    ///< The slowest fsync().
-};
-
-/// Overload counters (exported as overload.* metrics by heliosd).
+/// Overload counters (exported as overload.* metrics).
 struct OverloadStats {
   uint64_t admitted = 0;  ///< Commit requests accepted into the node.
   uint64_t shed = 0;      ///< Commit requests rejected with BUSY.
@@ -160,19 +141,20 @@ class LiveDatacenter {
   /// Overload counters (thread-safe; queue_depth sampled at call time).
   OverloadStats overload_snapshot() const;
 
-  /// Per-peer phi / suspicion state (synchronized through the loop).
-  HealthSnapshot health_snapshot();
-
-  /// Clock-discipline steps so far (synchronized through the loop).
-  core::ClockStepStats clock_snapshot();
-
   /// Crash-recovery totals: what EnableWal replayed plus what catch-up
   /// pulled from peers (thread-safe).
   RecoveryStats recovery_snapshot() const;
 
-  /// WAL counters: the fsync figures straight from the WAL's atomics, the
-  /// byte and entry counts synchronized through the loop.
-  WalStats wal_snapshot();
+  /// Writes this datacenter's metrics into `registry`: core::
+  /// ExportNodeMetrics for its own node (the names a simulated
+  /// HeliosCluster exports for this datacenter), plus what only a live
+  /// node has: clock.*, overload.* (overload_snapshot()), recovery.*
+  /// (recovery_snapshot()), transport.* and, with a WAL, wal.*. What the
+  /// loop owns (the counters CountersSnapshot() returns, the node's gauges,
+  /// the WAL's byte counts) is read in one hop through the loop, so the
+  /// counters and gauges are of one instant; the thread-safe rest on the
+  /// caller's thread. Call from any thread but the loop's.
+  void ExportMetrics(obs::MetricsRegistry* registry);
 
   /// Partition control (chaos-in-production): administratively refuse the
   /// connection to `peer` / lift the refusal. Thread-safe.
@@ -189,6 +171,9 @@ class LiveDatacenter {
 
  private:
   void OnWirePayload(std::vector<uint8_t> payload);
+  /// Runs `fn` on the loop thread and waits for it once Start() ran; on
+  /// the caller's thread before that and after Stop().
+  void OnLoop(const std::function<void()>& fn);
 
   const DcId id_;
   core::HeliosConfig config_;

@@ -1,7 +1,8 @@
 #include "txn/transaction.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "common/check.h"
 
 namespace helios {
 
@@ -15,20 +16,23 @@ bool TxnBody::WritesKey(const Key& k) const {
                      [&](const WriteEntry& w) { return w.key == k; });
 }
 
+bool HasDuplicateWriteKey(const std::vector<WriteEntry>& writes) {
+  for (size_t i = 0; i < writes.size(); ++i) {
+    for (size_t j = i + 1; j < writes.size(); ++j) {
+      if (writes[i].key == writes[j].key) return true;
+    }
+  }
+  return false;
+}
+
 TxnBodyPtr MakeTxnBody(TxnId id, std::vector<ReadEntry> reads,
                        std::vector<WriteEntry> writes) {
+  HELIOS_CHECK(!HasDuplicateWriteKey(writes),
+               "duplicate key in the write set of " + id.ToString());
   auto body = std::make_shared<TxnBody>();
   body->id = id;
   body->read_set = std::move(reads);
   body->write_set = std::move(writes);
-#ifndef NDEBUG
-  for (size_t i = 0; i < body->write_set.size(); ++i) {
-    for (size_t j = i + 1; j < body->write_set.size(); ++j) {
-      assert(body->write_set[i].key != body->write_set[j].key &&
-             "duplicate key in write set");
-    }
-  }
-#endif
   return body;
 }
 

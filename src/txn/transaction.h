@@ -49,7 +49,17 @@ struct TxnBody {
 
 using TxnBodyPtr = std::shared_ptr<const TxnBody>;
 
-/// Builds a TxnBody. Validates that write-set keys are unique.
+/// Abort reason for a commit request whose write set names a key twice.
+inline constexpr const char* kDuplicateWriteAbortReason =
+    "invalid:duplicate_write";
+
+/// True if `writes` names some key more than once. A write set comes from
+/// a client, so every commit entry point refuses such a set (with
+/// kDuplicateWriteAbortReason) before it builds a TxnBody.
+bool HasDuplicateWriteKey(const std::vector<WriteEntry>& writes);
+
+/// Builds a TxnBody. A write set that names a key twice stops the process
+/// in every build: the commit entry points refuse one first.
 TxnBodyPtr MakeTxnBody(TxnId id, std::vector<ReadEntry> reads,
                        std::vector<WriteEntry> writes);
 

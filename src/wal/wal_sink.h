@@ -1,7 +1,8 @@
 // Durability sink abstraction over the write-ahead log.
 //
 // A `WalSink` receives every replicated-log record a node appends or
-// ingests plus periodic timetable snapshots. Two implementations exist:
+// ingests plus periodic timetable snapshots (`HeliosNode::set_wal`; the
+// node stops the process if an append fails). Two implementations exist:
 //
 //  * `MemoryWal` (here, header-only): the simulator's "disk". It lives
 //    outside the node object, so it survives the amnesia restart that a

@@ -15,6 +15,7 @@
 #include "core/history.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "txn/transaction.h"
 #include "wal/wal_sink.h"
 
 namespace helios::baselines {
@@ -405,6 +406,48 @@ TEST(ReplicatedCommitTest, ReplicasCollectVersionsPastRetention) {
 
 TEST(TwoPcPaxosTest, ReplicasCollectVersionsPastRetention) {
   ExpectOldVersionsCollected(/*two_pc=*/true);
+}
+
+// A write set that names a key twice is refused at the door in every
+// build, and the locks its read phase took are released.
+void ExpectRepeatedKeyRefused(bool two_pc) {
+  auto rig = MakeRig(3, Millis(40), two_pc);
+  rig->cluster->LoadInitialAll({{"x", "0"}});
+  auto dup = std::make_shared<TxnDriver>(rig.get(), 1);
+  auto next = std::make_shared<TxnDriver>(rig.get(), 2);
+  rig->scheduler.At(Millis(10), [dup] {
+    dup->Read("x", [dup] { dup->Commit({{"x", "1"}, {"x", "2"}}); });
+  });
+  rig->scheduler.At(Millis(500), [next] {
+    next->Read("x", [next] { next->Commit({{"x", "3"}}); });
+  });
+  rig->scheduler.RunUntil(Seconds(5));
+  ASSERT_TRUE(dup->done);
+  EXPECT_FALSE(dup->outcome.committed);
+  EXPECT_EQ(dup->outcome.abort_reason, kDuplicateWriteAbortReason);
+  // x was never written twice over: the next transaction read "0" and its
+  // own write is the only one applied.
+  ASSERT_TRUE(next->done);
+  EXPECT_TRUE(next->outcome.committed) << next->outcome.abort_reason;
+  ASSERT_EQ(next->reads.size(), 1u);
+  EXPECT_EQ(next->reads[0].version_writer.origin, MvStore::kLoaderOrigin);
+  for (DcId dc = 0; dc < 3; ++dc) {
+    const MvStore& store = two_pc ? rig->tp().store(dc) : rig->rc().store(dc);
+    auto v = store.Read("x");
+    ASSERT_TRUE(v.ok()) << dc;
+    EXPECT_EQ(v.value().value, "3") << dc;
+  }
+  const auto& cluster = static_cast<const ReplicaCluster&>(*rig->cluster);
+  EXPECT_EQ(cluster.aborts(), 1u);
+  EXPECT_EQ(cluster.commits(), 1u);
+}
+
+TEST(ReplicatedCommitTest, RepeatedKeyInWriteSetIsRefused) {
+  ExpectRepeatedKeyRefused(/*two_pc=*/false);
+}
+
+TEST(TwoPcPaxosTest, RepeatedKeyInWriteSetIsRefused) {
+  ExpectRepeatedKeyRefused(/*two_pc=*/true);
 }
 
 }  // namespace

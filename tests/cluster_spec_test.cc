@@ -56,7 +56,7 @@ TEST(ClusterSpecTest, HealthEnabledRoundTripsAndReachesConfig) {
   // Default off: the key is omitted, old spec files stay byte-identical.
   const ClusterSpec plain = MakeSpec();
   EXPECT_EQ(plain.ToJson().find("health_enabled"), std::string::npos);
-  EXPECT_FALSE(plain.MakeConfig().health.enabled);
+  EXPECT_FALSE(plain.MakeConfig().health_enabled);
 
   ClusterSpec armed = MakeSpec();
   armed.health_enabled = true;
@@ -65,7 +65,7 @@ TEST(ClusterSpecTest, HealthEnabledRoundTripsAndReachesConfig) {
   auto parsed = ClusterSpec::FromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_TRUE(parsed.value().health_enabled);
-  EXPECT_TRUE(parsed.value().MakeConfig().health.enabled);
+  EXPECT_TRUE(parsed.value().MakeConfig().health_enabled);
   EXPECT_EQ(parsed.value().ToJson(), json);
 }
 

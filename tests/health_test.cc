@@ -48,8 +48,7 @@ TEST(PhiDetector, PhiIsMonotoneUnderSilence) {
 }
 
 TEST(PhiDetector, FreshArrivalResetsSuspicion) {
-  PhiOptions opt;
-  PhiDetector d(opt);
+  PhiDetector d;
   const int64_t last = FeedRegular(&d, Millis(10), 40);
   ASSERT_TRUE(d.Suspected(last + Seconds(1)));
   d.Arrival(last + Seconds(1));
@@ -61,8 +60,7 @@ TEST(PhiDetector, NoFalsePositiveUnderJitteredHeartbeats) {
   // Heartbeats every 10 ms +- up to 40% jitter: the detector must ride
   // through the jitter without ever reaching the suspicion threshold when
   // queried right before each (late) arrival.
-  PhiOptions opt;
-  PhiDetector d(opt);
+  PhiDetector d;
   Rng rng(1234);
   int64_t t = 0;
   double max_phi = 0.0;
@@ -74,7 +72,7 @@ TEST(PhiDetector, NoFalsePositiveUnderJitteredHeartbeats) {
     d.Arrival(next);
     t = next;
   }
-  EXPECT_LT(max_phi, opt.threshold);
+  EXPECT_LT(max_phi, kPhiThreshold);
 }
 
 TEST(PhiDetector, SlowerCadenceNeedsProportionallyLongerSilence) {
@@ -117,32 +115,33 @@ TEST(PhiDetector, DeterministicGivenSeededArrivalSequence) {
 }
 
 TEST(PhiDetector, BootstrapBeforeMinSamples) {
-  PhiOptions opt;
-  opt.bootstrap_interval = Millis(50);
-  PhiDetector d(opt);
+  PhiDetector d;
   d.Arrival(0);
   // One arrival = zero intervals: the bootstrap mean governs, so a silence
   // of a few bootstrap periods is already suspicious but a short one is not.
-  EXPECT_EQ(d.MeanInterval(), static_cast<double>(Millis(50)));
-  EXPECT_LT(d.Phi(Millis(20)), 1.0);
-  EXPECT_GT(d.Phi(Seconds(2)), opt.threshold);
+  EXPECT_EQ(d.MeanInterval(), static_cast<double>(kPhiBootstrapInterval));
+  EXPECT_LT(d.Phi(kPhiBootstrapInterval * 2 / 5), 1.0);
+  EXPECT_GT(d.Phi(kPhiBootstrapInterval * 40), kPhiThreshold);
+  // Up to kPhiMinSamples intervals the bootstrap still governs.
+  for (int i = 1; i < kPhiMinSamples; ++i) d.Arrival(Millis(10) * i);
+  EXPECT_EQ(d.MeanInterval(), static_cast<double>(kPhiBootstrapInterval));
+  d.Arrival(Millis(10) * kPhiMinSamples);
+  EXPECT_EQ(d.MeanInterval(), static_cast<double>(Millis(10)));
 }
 
 TEST(PhiDetector, WindowEvictsOldSamples) {
-  PhiOptions opt;
-  opt.window = 8;
-  PhiDetector d(opt);
+  PhiDetector d;
   // Old slow cadence fully evicted by a newer fast one.
   int64_t t = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kPhiWindow; ++i) {
     d.Arrival(t);
     t += Millis(100);
   }
-  for (int i = 0; i < 9; ++i) {
+  for (int i = 0; i < kPhiWindow + 1; ++i) {
     d.Arrival(t);
     t += Millis(10);
   }
-  EXPECT_EQ(d.samples(), 8);
+  EXPECT_EQ(d.samples(), kPhiWindow);
   EXPECT_NEAR(d.MeanInterval(), static_cast<double>(Millis(10)), 1.0);
 }
 

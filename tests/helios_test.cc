@@ -3,8 +3,9 @@
 // serializability under contention and clock skew, liveness under
 // datacenter outages (Rule 3) and its receipt acknowledgments, replica
 // convergence, read-only transactions, the reply point of a commit and
-// what its apply I/O and an fsync stall cost the server, and the
-// timestamps records take in a node's log.
+// what its apply I/O and an fsync stall cost the server, the timestamps
+// records take in a node's log, and the refusal of a write set that names
+// a key twice.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +22,14 @@
 #include "core/history.h"
 #include "harness/experiment.h"
 #include "harness/topology.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/shard_map.h"
 #include "sim/clock.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 #include "sim/service_queue.h"
+#include "txn/transaction.h"
 #include "workload/client.h"
 #include "workload/tycsb.h"
 
@@ -1145,6 +1149,86 @@ TEST(HeliosCountersTest, CountersAreConsistent) {
   EXPECT_EQ(total.total_aborts(), out.aborts);
   EXPECT_EQ(total.commits, rig->cluster->history().size());
   EXPECT_EQ(total.commit_requests, total.commits + total.total_aborts());
+}
+
+// --- A write set that names a key twice ------------------------------------
+
+/// The value of `key` at every datacenter (and shard) that holds it.
+std::vector<std::string> ValuesEverywhere(const HeliosCluster& cluster,
+                                          const Key& key) {
+  std::vector<std::string> out;
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    for (int s = 0; s < cluster.num_shards(); ++s) {
+      auto v = cluster.node(dc, s).store().Read(key);
+      if (v.ok()) out.push_back(v.value().value);
+    }
+  }
+  return out;
+}
+
+TEST(DuplicateWriteTest, HeliosRefusesARepeatedKey) {
+  auto rig = MakeUniformRig(3, Millis(20), BaseConfig(3));
+  rig->cluster->LoadInitialAll({{"x", "0"}});
+  rig->cluster->Start();
+  CommitResult dup;
+  rig->scheduler.At(Millis(10), [&] {
+    AsyncCommit(*rig, 0, {}, {{"x", "1"}, {"x", "2"}}, &dup);
+  });
+  rig->scheduler.RunUntil(Seconds(1));
+  ASSERT_TRUE(dup.done);
+  EXPECT_FALSE(dup.outcome.committed);
+  EXPECT_EQ(dup.outcome.abort_reason, kDuplicateWriteAbortReason);
+  EXPECT_EQ(ValuesEverywhere(*rig->cluster, "x"),
+            std::vector<std::string>(3, "0"));
+  const NodeCounters total = rig->cluster->AggregateCounters();
+  EXPECT_EQ(total.commit_requests, 1u);
+  EXPECT_EQ(total.aborts_on_request, 1u);
+  EXPECT_EQ(total.commit_requests, total.commits + total.total_aborts());
+}
+
+TEST(DuplicateWriteTest, HeliosOverTwoShardsRefusesARepeatedKey) {
+  // "a" lives on shard 0 and "x" on shard 1: {x, x} stays on one shard's
+  // node, {a, x, x} is refused before the coordinator splits it.
+  auto rig = std::make_unique<TestRig>();
+  rig->network = std::make_unique<sim::Network>(&rig->scheduler, 3, 1);
+  for (int a = 0; a < 3; ++a) {
+    for (int b = a + 1; b < 3; ++b) rig->network->SetRtt(a, b, Millis(20), 0);
+  }
+  rig->cluster = std::make_unique<HeliosCluster>(
+      &rig->scheduler, rig->network.get(), BaseConfig(3),
+      LogProtocolKind::kHelios, "Helios", shard::ShardMap::Range({"m"}));
+  rig->cluster->LoadInitialAll({{"a", "0"}, {"x", "0"}});
+  rig->cluster->Start();
+  CommitResult single, cross, clean;
+  rig->scheduler.At(Millis(10), [&] {
+    AsyncCommit(*rig, 0, {}, {{"x", "1"}, {"x", "2"}}, &single);
+    AsyncCommit(*rig, 1, {}, {{"a", "1"}, {"x", "1"}, {"x", "2"}}, &cross);
+  });
+  rig->scheduler.At(Millis(200), [&] {
+    AsyncCommit(*rig, 2, {}, {{"a", "3"}, {"x", "3"}}, &clean);
+  });
+  rig->scheduler.RunUntil(Seconds(2));
+  for (const CommitResult* r : {&single, &cross}) {
+    ASSERT_TRUE(r->done);
+    EXPECT_FALSE(r->outcome.committed);
+    EXPECT_EQ(r->outcome.abort_reason, kDuplicateWriteAbortReason);
+  }
+  // Nothing of either reached a store; a well-formed cross-shard
+  // transaction on the same keys still commits.
+  ASSERT_TRUE(clean.done);
+  EXPECT_TRUE(clean.outcome.committed) << clean.outcome.abort_reason;
+  EXPECT_EQ(ValuesEverywhere(*rig->cluster, "a"),
+            std::vector<std::string>(3, "3"));
+  EXPECT_EQ(ValuesEverywhere(*rig->cluster, "x"),
+            std::vector<std::string>(3, "3"));
+  const NodeCounters total = rig->cluster->AggregateCounters();
+  EXPECT_EQ(total.commit_requests, 1u);
+  EXPECT_EQ(total.commit_requests, total.commits + total.total_aborts());
+  obs::MetricsRegistry reg;
+  rig->cluster->ExportMetrics(&reg);
+  EXPECT_EQ(reg.counter("xshard.aborted").value(), 1u);
+  EXPECT_EQ(reg.counter("protocol.aborts").value(), 2u);
+  EXPECT_EQ(reg.counter("protocol.commits").value(), 1u);
 }
 
 // HELIOS_CHECK stops the process in every build, this NDEBUG one included.

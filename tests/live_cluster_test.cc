@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/helios_config.h"
+#include "json_check.h"
 #include "transport/cluster_spec.h"
 #include "transport/live_datacenter.h"
 #include "workload/open_loop.h"
@@ -107,7 +108,8 @@ TEST(LiveClusterTest, SupervisedKillRestartConverges) {
 
 // --- Clock discipline: daemons launched a second apart still commit fast ---
 
-/// The number after `"key":` in a flat JSON document, or -1.
+/// The number after `"key":` in a metrics document (MetricsSnapshot::
+/// ToJson(), one line per metric), or -1.
 double JsonNumber(const std::string& doc, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const size_t at = doc.find(needle);
@@ -171,19 +173,25 @@ TEST(LiveClusterTest, RelaunchedDaemonsClockDoesNotHoldCommitsBack) {
   }
   ASSERT_FALSE(m[0].empty()) << "dc0 wrote no metrics; see " << dir;
   ASSERT_FALSE(m[1].empty()) << "dc1 wrote no metrics; see " << dir;
+  for (int dc = 0; dc < 3; ++dc) {
+    if (m[dc].empty()) continue;
+    testing::JsonChecker checker(m[dc]);
+    EXPECT_TRUE(checker.Valid())
+        << "dc" << dc << " metrics invalid at byte " << checker.error_pos();
+  }
   // Most of dc0's commits come after the relaunch. Helios-B waits one
   // apparent one-way delay (20 ms) plus ticks.
-  const double p50 = JsonNumber(m[0], "latency_p50_ms");
+  const double p50 = JsonNumber(m[0], "load.latency_p50_ms");
   EXPECT_GT(p50, 0.0) << m[0];
   EXPECT_LT(p50, 20.0 + 5 * 5.0) << m[0];
   // dc1's second life stepped up to its restored floor and then over
   // the downtime; dc0 never chased it.
-  EXPECT_EQ(JsonNumber(m[1], "recoveries"), 1.0) << m[1];
-  EXPECT_GT(JsonNumber(m[1], "stepped_us"), 2e6) << m[1];
-  EXPECT_LT(JsonNumber(m[0], "stepped_us"), 1e4) << m[0];
+  EXPECT_EQ(JsonNumber(m[1], "recovery.recoveries"), 1.0) << m[1];
+  EXPECT_GT(JsonNumber(m[1], "clock.stepped_us"), 2e6) << m[1];
+  EXPECT_LT(JsonNumber(m[0], "clock.stepped_us"), 1e4) << m[0];
   // Group commit: dc0's syncer fsynced its journal while it took load.
-  EXPECT_GT(JsonNumber(m[0], "fsyncs"), 0.0) << m[0];
-  EXPECT_GT(JsonNumber(m[0], "entries_appended"), 0.0) << m[0];
+  EXPECT_GT(JsonNumber(m[0], "wal.fsyncs"), 0.0) << m[0];
+  EXPECT_GT(JsonNumber(m[0], "wal.entries_appended"), 0.0) << m[0];
 }
 
 // --- Overload: graceful degradation under far-beyond-capacity load --------

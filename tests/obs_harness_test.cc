@@ -206,7 +206,6 @@ TEST(ObsHarnessTest, RunExperimentDisabledByDefault) {
   cfg.workload.num_keys = 100;
   const harness::ExperimentResult r = harness::RunExperiment(cfg);
   EXPECT_EQ(r.trace, nullptr);
-  EXPECT_EQ(r.metrics_registry, nullptr);
   EXPECT_TRUE(r.metrics.empty());
 }
 

@@ -13,15 +13,22 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/helios_cluster.h"
 #include "core/history.h"
 #include "lp/mao.h"
+#include "obs/metrics.h"
+#include "sim/network.h"
+#include "sim/scheduler.h"
 #include "transport/io_util.h"
 #include "transport/live_datacenter.h"
 #include "transport/realtime_loop.h"
 #include "transport/tcp_transport.h"
+#include "txn/transaction.h"
 
 namespace helios::transport {
 namespace {
@@ -277,10 +284,11 @@ struct LiveCluster {
   std::vector<std::unique_ptr<LiveDatacenter>> dcs;
 
   explicit LiveCluster(int n, Duration inbound_delay,
-                       int fault_tolerance = 0) {
+                       int fault_tolerance = 0, bool health = false) {
     core::HeliosConfig cfg;
     cfg.num_datacenters = n;
     cfg.fault_tolerance = fault_tolerance;
+    cfg.health_enabled = health;
     cfg.log_interval = Millis(5);
     cfg.grace_time = Millis(2000);  // Generous: wall-clock jitter is real.
     for (DcId dc = 0; dc < n; ++dc) {
@@ -643,6 +651,19 @@ TEST(TcpTransportTest, BlockBeforeConnectIsRemembered) {
 
 // --- Clock discipline over real sockets --------------------------------------
 
+/// `dc`'s clock steps as its metrics export reports them.
+core::ClockStepStats ExportedClockSteps(LiveDatacenter& dc) {
+  obs::MetricsRegistry reg;
+  dc.ExportMetrics(&reg);
+  const obs::MetricsSnapshot snap = reg.Snapshot();
+  const auto* steps = snap.FindCounter("clock.steps");
+  const auto* stepped = snap.FindCounter("clock.stepped_us");
+  EXPECT_NE(steps, nullptr);
+  EXPECT_NE(stepped, nullptr);
+  if (steps == nullptr || stepped == nullptr) return {};
+  return {steps->value, static_cast<Duration>(stepped->value)};
+}
+
 /// The config of a deployment whose datacenter `dc` receives every
 /// envelope after delays[dc]: commit offsets planned on RTT(a, b) =
 /// delays[a] + delays[b], a 5 ms log interval.
@@ -715,7 +736,7 @@ TEST(LiveClockDisciplineTest, AsymmetricInboundDelaysConvergeAndHoldStill) {
   EXPECT_LT(BestCommitMillis(*dcs[0], "v"), 75.0);
   const auto snapshot = [&dcs]() {
     std::vector<core::ClockStepStats> stats;
-    for (auto& dc : dcs) stats.push_back(dc->clock_snapshot());
+    for (auto& dc : dcs) stats.push_back(ExportedClockSteps(*dc));
     return stats;
   };
   const auto same = [](const std::vector<core::ClockStepStats>& a,
@@ -763,8 +784,8 @@ TEST(LiveClockDisciplineTest, StaggeredStartsConverge) {
   std::this_thread::sleep_for(2s);
   EXPECT_LT(BestCommitMillis(*dcs[0], "s"), 50.0);
   // dc1 closed the gap; dc0, ahead all along, never chased it.
-  EXPECT_GE(dcs[1]->clock_snapshot().stepped_us, Millis(400));
-  EXPECT_LT(dcs[0]->clock_snapshot().stepped_us, Millis(10));
+  EXPECT_GE(ExportedClockSteps(*dcs[1]).stepped_us, Millis(400));
+  EXPECT_LT(ExportedClockSteps(*dcs[0]).stepped_us, Millis(10));
   for (auto& dc : dcs) dc->Stop();
 }
 
@@ -854,6 +875,114 @@ TEST(LiveDatacenterDeathTest, UnjournaledRecordAborts) {
       "check failed: .*dc0: .*WAL flush failed");
 }
 #endif
+
+TEST(LiveDatacenterTest, RepeatedKeyInWriteSetIsRefused) {
+  LiveCluster cluster(2, Millis(5));
+  for (auto& dc : cluster.dcs) dc->LoadInitial("x", "0");
+  cluster.Start();
+  const CommitOutcome dup =
+      cluster.dcs[0]->CommitSync({}, {{"x", "1"}, {"x", "2"}});
+  EXPECT_FALSE(dup.committed);
+  EXPECT_EQ(dup.abort_reason, kDuplicateWriteAbortReason);
+  EXPECT_TRUE(cluster.dcs[0]->CommitSync({}, {{"y", "1"}}).committed);
+  for (auto& dc : cluster.dcs) {
+    auto r = dc->ReadSync("x");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().value, "0");
+  }
+  const core::NodeCounters c = cluster.dcs[0]->CountersSnapshot();
+  EXPECT_EQ(c.commit_requests, 2u);
+  EXPECT_EQ(c.aborts_on_request, 1u);
+  EXPECT_EQ(c.commit_requests, c.commits + c.total_aborts());
+  cluster.Stop();
+}
+
+/// The counter and gauge names of a snapshot.
+std::set<std::string> NamesOf(const obs::MetricsSnapshot& snap) {
+  std::set<std::string> names;
+  for (const auto& c : snap.counters) names.insert(c.name);
+  for (const auto& g : snap.gauges) names.insert(g.name);
+  return names;
+}
+
+/// True for a node.*, protocol.* or health.* name that speaks for
+/// datacenter 0: cluster-wide, or naming dc0 as the exporting datacenter.
+bool SharedNameOfDc0(const std::string& name) {
+  for (const std::string prefix : {"node.", "protocol.", "health."}) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string rest = name.substr(prefix.size());
+    return rest.rfind("dc", 0) != 0 || rest.rfind("dc0.", 0) == 0;
+  }
+  return false;
+}
+
+TEST(LiveDatacenterTest, ExportsTheSimulatorsNames) {
+  // The live node exports, for its own datacenter, exactly the node.*,
+  // protocol.* and health.* names a simulated cluster of the same shape
+  // (Helios-1, health on) exports for that datacenter.
+  LiveCluster live(3, Millis(5), /*fault_tolerance=*/1, /*health=*/true);
+  live.Start();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(
+        live.dcs[0]->CommitSync({}, {{"k" + std::to_string(i), "v"}})
+            .committed);
+  }
+  obs::MetricsRegistry live_reg;
+  live.dcs[0]->ExportMetrics(&live_reg);
+  live.Stop();
+  const obs::MetricsSnapshot live_snap = live_reg.Snapshot();
+
+  sim::Scheduler scheduler;
+  sim::Network network(&scheduler, 3, 1);
+  for (int a = 0; a < 3; ++a) {
+    for (int b = a + 1; b < 3; ++b) network.SetRtt(a, b, Millis(10), 0);
+  }
+  core::HeliosConfig cfg;
+  cfg.num_datacenters = 3;
+  cfg.fault_tolerance = 1;
+  cfg.health_enabled = true;
+  core::HeliosCluster sim_cluster(&scheduler, &network, cfg);
+  sim_cluster.Start();
+  scheduler.RunUntil(Millis(200));
+  obs::MetricsRegistry sim_reg;
+  sim_cluster.ExportMetrics(&sim_reg);
+
+  std::set<std::string> sim_dc0;
+  for (const std::string& name : NamesOf(sim_reg.Snapshot())) {
+    if (SharedNameOfDc0(name)) sim_dc0.insert(name);
+  }
+  const std::set<std::string> live_names = NamesOf(live_snap);
+  std::set<std::string> live_shared;
+  for (const std::string& name : live_names) {
+    if (SharedNameOfDc0(name)) live_shared.insert(name);
+  }
+  // Not vacuous: the gated names are there on both sides.
+  for (const char* name : {"node.commits", "node.acks_sent",
+                           "protocol.commits", "node.dc0.pt_pool",
+                           "health.suspicions", "health.dc0.phi.dc1",
+                           "health.dc0.suspected"}) {
+    EXPECT_EQ(sim_dc0.count(name), 1u) << name;
+  }
+  EXPECT_EQ(live_shared, sim_dc0);
+  // The live-only names, and no other datacenter's.
+  for (const char* name :
+       {"clock.steps", "clock.stepped_us", "overload.admitted",
+        "overload.shed", "overload.inflight", "overload.queue_depth",
+        "recovery.recoveries", "recovery.records_replayed",
+        "recovery.catchup_records", "recovery.duration_us",
+        "transport.messages_sent", "transport.messages_received",
+        "transport.reconnects", "transport.sends_blocked",
+        "transport.redial_cooldown_remaining_ms"}) {
+    EXPECT_EQ(live_names.count(name), 1u) << name;
+  }
+  for (const std::string& name : live_names) {
+    EXPECT_EQ(name.find(".dc1."), std::string::npos) << name;
+    EXPECT_EQ(name.rfind("wal.", 0), std::string::npos) << name;
+  }
+  const auto* requests = live_snap.FindCounter("node.commit_requests");
+  ASSERT_NE(requests, nullptr);
+  EXPECT_EQ(requests->value, 3u);
+}
 
 TEST(LiveDatacenterTest, InitialDataVisibleBeforeTraffic) {
   LiveCluster cluster(2, Millis(5));

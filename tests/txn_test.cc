@@ -18,6 +18,21 @@ TxnBodyPtr RwTxn(DcId dc, uint64_t seq, std::vector<Key> reads,
   return MakeTxnBody(TxnId{dc, seq}, std::move(rs), std::move(ws));
 }
 
+TEST(TxnBodyTest, RepeatedWriteKeyIsDetected) {
+  EXPECT_FALSE(HasDuplicateWriteKey({}));
+  EXPECT_FALSE(HasDuplicateWriteKey({{"a", "1"}, {"b", "1"}}));
+  EXPECT_TRUE(HasDuplicateWriteKey({{"a", "1"}, {"b", "1"}, {"a", "2"}}));
+}
+
+// The commit entry points refuse a repeated key first; a body that still
+// carries one stops the process in every build, this NDEBUG one included.
+#if GTEST_HAS_DEATH_TEST
+TEST(TxnBodyDeathTest, RepeatedWriteKeyAborts) {
+  EXPECT_DEATH(RwTxn(0, 7, {}, {"x", "x"}),
+               "check failed: .*duplicate key in the write set");
+}
+#endif
+
 TEST(TxnBodyTest, KeyMembership) {
   auto t = RwTxn(0, 1, {"a", "b"}, {"b", "c"});
   EXPECT_TRUE(t->ReadsKey("a"));

@@ -106,9 +106,7 @@ TEST(WalRecoveryTest, NodeRestoresAndRejoinsCluster) {
     core::HeliosCluster cluster(&scheduler, &network, cfg);
     FileWal wal;
     ASSERT_TRUE(wal.Open(path).ok());
-    cluster.node(0).set_record_sink([&wal](const rdict::LogRecord& rec) {
-      ASSERT_TRUE(wal.AppendRecord(rec).ok());
-    });
+    cluster.node(0).set_wal(&wal);
     cluster.Start();
 
     bool committed = false;
@@ -193,15 +191,15 @@ TEST(WalRecoveryTest, RestoredNodeNeverReusesTimestamps) {
     core::HeliosConfig cfg;
     cfg.num_datacenters = 2;
     core::HeliosCluster cluster(&scheduler, &network, cfg);
-    cluster.node(0).set_record_sink([&](const rdict::LogRecord& rec) {
-      records.push_back(rec);
-      if (rec.origin == 0) max_ts = std::max(max_ts, rec.ts);
-    });
     cluster.Start();
     scheduler.At(Seconds(2), [&] {  // Late: timestamps well above zero.
       cluster.ClientCommit(0, {}, {{"x", "1"}}, [](const CommitOutcome&) {});
     });
     scheduler.RunUntil(Seconds(3));
+    records = cluster.wal_journal(0, 0)->contents().records;
+    for (const rdict::LogRecord& rec : records) {
+      if (rec.origin == 0) max_ts = std::max(max_ts, rec.ts);
+    }
     ASSERT_GT(max_ts, Seconds(1));
   }
   // New world starts at simulated time 0 — without the floor, the node
@@ -214,16 +212,18 @@ TEST(WalRecoveryTest, RestoredNodeNeverReusesTimestamps) {
   core::HeliosCluster cluster(&scheduler, &network, cfg);
   ASSERT_TRUE(cluster.node(0).Restore(records, nullptr).ok());
   cluster.Start();
-  Timestamp new_ts = 0;
-  cluster.node(0).set_record_sink([&](const rdict::LogRecord& rec) {
-    if (rec.origin == 0 && rec.type == rdict::RecordType::kPreparing) {
-      new_ts = rec.ts;
-    }
-  });
   scheduler.At(Millis(5), [&] {
     cluster.ClientCommit(0, {}, {{"y", "2"}}, [](const CommitOutcome&) {});
   });
   scheduler.RunUntil(Seconds(2));
+  Timestamp new_ts = 0;
+  const WalContents& journal = cluster.wal_journal(0, 0)->contents();
+  for (const rdict::LogRecord& rec : journal.records) {
+    if (rec.origin == 0 && rec.type == rdict::RecordType::kPreparing &&
+        rec.body->WritesKey("y")) {
+      new_ts = rec.ts;
+    }
+  }
   ASSERT_GT(new_ts, 0);
   EXPECT_GT(new_ts, max_ts) << "recovered node reused a timestamp";
 }

@@ -55,7 +55,7 @@ Result<double> ParseTimeBudget(const std::string& text) {
   return Status::InvalidArgument("bad --time_budget suffix '" + suffix + "'");
 }
 
-int ReplayOne(const std::string& path, const check::OracleOptions& oracles) {
+int ReplayOne(const std::string& path) {
   auto text = cli::ReadWholeFile(path);
   if (!text.ok()) {
     return cli::FailWith(text.status(), cli::kExitUsage);
@@ -73,8 +73,7 @@ int ReplayOne(const std::string& path, const check::OracleOptions& oracles) {
   }
   std::fprintf(stderr, "replaying %s...\n",
                spec.value().DisplayName().c_str());
-  const check::ScenarioVerdict verdict =
-      check::RunScenario(spec.value(), oracles);
+  const check::ScenarioVerdict verdict = check::RunScenario(spec.value());
   std::fputs(verdict.report.Summary().c_str(), stderr);
   if (verdict.ok()) {
     std::fprintf(stderr, "PASS: every oracle holds\n");
@@ -122,9 +121,8 @@ int main(int argc, char** argv) {
   flags.DefineBool("help", false, "show this help");
   cli::ParseOrExit(&flags, argc, argv);
 
-  const check::OracleOptions oracles;
   if (!flags.GetString("replay").empty()) {
-    return ReplayOne(flags.GetString("replay"), oracles);
+    return ReplayOne(flags.GetString("replay"));
   }
 
   auto budget = ParseTimeBudget(flags.GetString("time_budget"));
@@ -194,13 +192,11 @@ int main(int argc, char** argv) {
   };
   sweep_options.check = [&](const hns::ExperimentSpec& spec,
                             hns::ExperimentResult* result) {
-    const check::OracleReport report =
-        check::RunOracles(spec, *result, oracles);
+    const check::OracleReport report = check::RunOracles(spec, *result);
     // The heavy artifacts (WAL copies, store snapshots, traces) have
     // served their purpose; drop them before the next scenario queues.
     result->capture.reset();
     result->trace.reset();
-    result->metrics_registry.reset();
     if (report.ok()) return Status::Ok();
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -272,7 +268,6 @@ int main(int argc, char** argv) {
   if (flags.GetBool("shrink")) {
     check::ShrinkOptions shrink_options;
     shrink_options.max_runs = static_cast<int>(flags.GetInt("max_shrink_runs"));
-    shrink_options.oracles = oracles;
     std::fprintf(stderr, "shrinking (budget %d runs)...\n",
                  shrink_options.max_runs);
     const check::ShrinkResult shrunk = check::Shrink(failing, shrink_options);

@@ -240,7 +240,8 @@ bool WaitClean(Child* child, int dc) {
   return true;
 }
 
-/// Pulls recovery.<field> counters out of a heliosd metrics document.
+/// Pulls the recovery.recoveries and recovery.records_replayed counters
+/// out of a heliosd metrics document (MetricsSnapshot::ToJson()).
 bool ReadRecoveryCounters(const std::string& path, uint64_t* recoveries,
                           uint64_t* records_replayed) {
   auto text = cli::ReadWholeFile(path);
@@ -248,12 +249,12 @@ bool ReadRecoveryCounters(const std::string& path, uint64_t* recoveries,
   auto parsed = helios::json::Parse(text.value());
   if (!parsed.ok()) return false;
   for (const auto& [key, value] : parsed.value().members) {
-    if (key != "recovery") continue;
-    for (const auto& [rkey, rvalue] : value.members) {
-      if (rkey == "recoveries") {
-        (void)helios::json::ReadUint64(rkey, rvalue, recoveries);
-      } else if (rkey == "records_replayed") {
-        (void)helios::json::ReadUint64(rkey, rvalue, records_replayed);
+    if (key != "counters") continue;
+    for (const auto& [name, counter] : value.members) {
+      if (name == "recovery.recoveries") {
+        (void)helios::json::ReadUint64(name, counter, recoveries);
+      } else if (name == "recovery.records_replayed") {
+        (void)helios::json::ReadUint64(name, counter, records_replayed);
       }
     }
     return true;

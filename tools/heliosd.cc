@@ -20,7 +20,8 @@
 //   partition <peer>   refuse the outbound connection to <peer>
 //   heal <peer>        lift the refusal
 //   dump <path>        write the deterministic store dump to <path>
-//   metrics <path>     write the metrics JSON to <path>
+//   metrics <path>     write the metrics document (the simulator's
+//                      metrics JSON format and names) to <path>
 //   quit               clean shutdown
 //
 // Readiness: "heliosd dc=<i> listening port=<p>" on stdout once the
@@ -33,7 +34,7 @@
 // With --load_rate > 0 the daemon also offers itself open-loop Poisson
 // load (blind writes, workload::OpenLoopLoadGen) — the overload and
 // chaos harnesses use this to generate traffic without a separate client
-// binary; the resulting load stats land in the metrics JSON.
+// binary; the resulting load.* figures land in the metrics document.
 
 #include <poll.h>
 #include <signal.h>
@@ -46,8 +47,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/json.h"
 #include "harness/cli.h"
+#include "obs/metrics.h"
 #include "transport/cluster_spec.h"
 #include "transport/live_datacenter.h"
 #include "workload/open_loop.h"
@@ -58,7 +59,6 @@ using helios::Duration;
 using helios::Status;
 using helios::transport::ClusterSpec;
 using helios::transport::LiveDatacenter;
-using helios::transport::OverloadStats;
 namespace cli = helios::harness::cli;
 
 std::atomic<bool> g_shutdown{false};
@@ -84,114 +84,37 @@ struct LoadResult {
   helios::workload::OpenLoopStats stats;
 };
 
-std::string MetricsJson(int dc, int shard, int shards, LiveDatacenter& node,
-                        const LoadResult& load) {
-  namespace json = helios::json;
-  const OverloadStats overload = node.overload_snapshot();
-  const helios::RecoveryStats recovery = node.recovery_snapshot();
-  const helios::core::ClockStepStats clock = node.clock_snapshot();
-
-  std::string clock_doc;
-  {
-    json::ObjectWriter w(&clock_doc);
-    w.Field("stepped_us", clock.stepped_us);
-    w.Field("steps", clock.steps);
-    w.Close();
-  }
-  std::string overload_doc;
-  {
-    json::ObjectWriter w(&overload_doc);
-    w.Field("admitted", overload.admitted);
-    w.Field("inflight", overload.inflight);
-    w.Field("queue_depth", overload.queue_depth);
-    w.Field("shed", overload.shed);
-    w.Close();
-  }
-  std::string recovery_doc;
-  {
-    json::ObjectWriter w(&recovery_doc);
-    w.Field("catchup_records", recovery.catchup_records);
-    w.Field("duration_us", recovery.duration_us);
-    w.Field("records_replayed", recovery.records_replayed);
-    w.Field("recoveries", recovery.recoveries);
-    w.Close();
-  }
-  std::string transport_doc;
-  {
-    json::ObjectWriter w(&transport_doc);
-    w.Field("messages_received", node.transport().messages_received());
-    w.Field("messages_sent", node.transport().messages_sent());
-    w.Field("reconnects", node.transport().reconnects());
-    w.Field("redial_cooldown_remaining_ms",
-            node.transport().redial_cooldown_remaining_ms());
-    w.Field("sends_blocked", node.transport().sends_blocked());
-    w.Close();
-  }
-  const helios::transport::HealthSnapshot health = node.health_snapshot();
-  std::string health_doc;
-  if (health.enabled) {
-    json::ObjectWriter w(&health_doc);
-    int64_t suspected = 0;
-    for (size_t p = 0; p < health.phi.size(); ++p) {
-      if (static_cast<int>(p) == dc) continue;
-      w.Field(("phi_dc" + std::to_string(p)).c_str(), health.phi[p]);
-      suspected += health.suspected[p] ? 1 : 0;
-    }
-    w.Field("suspected", suspected);
-    w.Close();
-  }
-
-  const helios::transport::WalStats wal = node.wal_snapshot();
-  std::string wal_doc;
-  if (wal.enabled) {
-    json::ObjectWriter w(&wal_doc);
-    w.Field("bytes_written", wal.bytes_written);
-    w.Field("entries_appended", wal.entries_appended);
-    w.Field("fsync_us_max", wal.fsync_us_max);
-    w.Field("fsync_us_total", wal.fsync_us_total);
-    w.Field("fsyncs", wal.fsyncs);
-    w.Close();
-  }
-
-  std::string out;
-  json::ObjectWriter w(&out);
-  w.Raw("clock", clock_doc);
-  w.Field("dc", static_cast<int64_t>(dc));
-  if (health.enabled) w.Raw("health", health_doc);
+/// Writes the metrics document to `path`: one MetricsSnapshot::ToJson() of
+/// the node's export (LiveDatacenter::ExportMetrics, the simulator's names
+/// plus the live-only clock.*, overload.*, recovery.*, transport.* and
+/// wal.*) and, once the self-offered load finished, its load.* figures.
+Status WriteMetrics(const std::string& path, LiveDatacenter& node,
+                    const LoadResult& load) {
+  helios::obs::MetricsRegistry reg;
+  node.ExportMetrics(&reg);
   if (load.ran && load.done.load()) {
-    std::string load_doc;
-    json::ObjectWriter lw(&load_doc);
-    lw.Field("aborted", load.stats.aborted);
-    lw.Field("arrivals", load.stats.arrivals);
-    lw.Field("busy_rejected", load.stats.busy_rejected);
-    lw.Field("committed", load.stats.committed);
-    lw.Field("dropped", load.stats.dropped);
-    lw.Field("goodput_per_sec", load.stats.goodput_per_sec());
-    lw.Field("issued", load.stats.issued);
-    lw.Field("latency_p50_ms", load.stats.commit_latency_ms.count() > 0
-                                   ? load.stats.commit_latency_ms.Median()
-                                   : 0.0);
-    lw.Field("latency_p99_ms",
-             load.stats.commit_latency_ms.count() > 0
-                 ? load.stats.commit_latency_ms.Percentile(99.0)
-                 : 0.0);
-    lw.Field("retries", load.stats.retries);
-    lw.Field("undrained", load.stats.undrained);
-    lw.Close();
-    w.Raw("load", load_doc);
+    const helios::workload::OpenLoopStats& st = load.stats;
+    reg.counter("load.arrivals").Set(st.arrivals);
+    reg.counter("load.issued").Set(st.issued);
+    reg.counter("load.committed").Set(st.committed);
+    reg.counter("load.aborted").Set(st.aborted);
+    reg.counter("load.busy_rejected").Set(st.busy_rejected);
+    reg.counter("load.retries").Set(st.retries);
+    reg.counter("load.dropped").Set(st.dropped);
+    reg.counter("load.undrained").Set(st.undrained);
+    const bool any = st.commit_latency_ms.count() > 0;
+    reg.gauge("load.goodput_per_sec").Set(st.goodput_per_sec());
+    reg.gauge("load.latency_p50_ms")
+        .Set(any ? st.commit_latency_ms.Median() : 0.0);
+    reg.gauge("load.latency_p99_ms")
+        .Set(any ? st.commit_latency_ms.Percentile(99.0) : 0.0);
   }
-  w.Raw("overload", overload_doc);
-  w.Raw("recovery", recovery_doc);
-  if (shards > 1) w.Field("shard", static_cast<int64_t>(shard));
-  w.Raw("transport", transport_doc);
-  if (wal.enabled) w.Raw("wal", wal_doc);
-  w.Close();
-  return out;
+  return cli::WriteWholeFile(path, reg.Snapshot().ToJson());
 }
 
 /// Parses "cmd arg" lines; returns false once the daemon should exit.
-bool HandleCommand(const std::string& line, LiveDatacenter& node, int dc,
-                   int shard, int shards, const LoadResult& load) {
+bool HandleCommand(const std::string& line, LiveDatacenter& node,
+                   const LoadResult& load) {
   const size_t space = line.find(' ');
   const std::string cmd = line.substr(0, space);
   const std::string arg =
@@ -215,8 +138,7 @@ bool HandleCommand(const std::string& line, LiveDatacenter& node, int dc,
       std::printf("err dump: %s\n", s.message().c_str());
     }
   } else if (cmd == "metrics") {
-    const Status s =
-        cli::WriteWholeFile(arg, MetricsJson(dc, shard, shards, node, load));
+    const Status s = WriteMetrics(arg, node, load);
     if (s.ok()) {
       std::printf("ok metrics\n");
     } else {
@@ -361,7 +283,7 @@ int main(int argc, char** argv) {
       const std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
       if (!line.empty()) {
-        run = HandleCommand(line, node, dc, shard, cluster.shards, load);
+        run = HandleCommand(line, node, load);
       }
     }
   }
@@ -374,8 +296,7 @@ int main(int argc, char** argv) {
   }
   const std::string metrics_out = flags.GetString("metrics_out");
   if (!metrics_out.empty()) {
-    (void)cli::WriteWholeFile(
-        metrics_out, MetricsJson(dc, shard, cluster.shards, node, load));
+    (void)WriteMetrics(metrics_out, node, load);
   }
   std::printf("heliosd dc=%d exiting\n", dc);
   return cli::kExitOk;
