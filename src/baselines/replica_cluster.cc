@@ -1,13 +1,17 @@
 #include "baselines/replica_cluster.h"
 
-#include <cassert>
+#include <string>
+
+#include "common/check.h"
 
 namespace helios::baselines {
 
 ReplicaCluster::ReplicaCluster(sim::Scheduler* scheduler,
                                sim::Network* network, ReplicaConfig config)
     : scheduler_(scheduler), network_(network), config_(std::move(config)) {
-  assert(network_->size() == config_.num_datacenters);
+  HELIOS_CHECK(network_->size() == config_.num_datacenters,
+               std::to_string(network_->size()) + "-node network for " +
+                   std::to_string(config_.num_datacenters) + " datacenters");
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
     replicas_.push_back(std::make_unique<Replica>(scheduler_));
     const Duration offset =

@@ -1,12 +1,16 @@
 #include "baselines/two_pc_paxos.h"
 
-#include <cassert>
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "common/check.h"
 
 namespace helios::baselines {
 
 namespace {
 
-/// A commit whose Paxos round cannot complete (e.g. no live majority)
+/// A commit whose accept round cannot complete (e.g. no live majority)
 /// aborts after this long.
 constexpr Duration kDecisionTimeout = Seconds(10);
 
@@ -16,11 +20,12 @@ TwoPcPaxosCluster::TwoPcPaxosCluster(sim::Scheduler* scheduler,
                                      sim::Network* network,
                                      ReplicaConfig config, DcId coordinator)
     : ReplicaCluster(scheduler, network, std::move(config)),
-      coordinator_(coordinator),
-      acceptors_(static_cast<size_t>(config_.num_datacenters)) {
-  assert(coordinator_ >= 0 && coordinator_ < config_.num_datacenters);
+      coordinator_(coordinator) {
+  HELIOS_CHECK(coordinator_ >= 0 && coordinator_ < config_.num_datacenters,
+               "2PC coordinator dc" + std::to_string(coordinator_) +
+                   " outside " + std::to_string(config_.num_datacenters) +
+                   " datacenters");
   lock_table_ = MakeLockTable();
-  replicator_ = MakeReplicator();
 }
 
 std::unique_ptr<LockTable> TwoPcPaxosCluster::MakeLockTable() {
@@ -34,48 +39,36 @@ std::unique_ptr<LockTable> TwoPcPaxosCluster::MakeLockTable() {
   return table;
 }
 
-std::unique_ptr<paxos::Replicator> TwoPcPaxosCluster::MakeReplicator() {
+void TwoPcPaxosCluster::ReplicateToMajority(std::function<void()> chosen) {
   const DcId coord = coordinator_;
-  return std::make_unique<paxos::Replicator>(
-      coord, config_.num_datacenters, /*lease=*/true, &acceptors_[coord],
-      /*send_prepare=*/
-      [this, coord](DcId peer, const paxos::PrepareRequest& req) {
-        const uint64_t gen = state(coord).gen;
-        network_->Send(coord, peer, [this, coord, peer, gen, req]() {
-          if (state(peer).down) return;
-          replica(peer).service.Submit(
-              config_.service.log_message, [this, coord, peer, gen, req]() {
-                if (state(peer).down) return;
-                // Acceptor state is durable: a recovering datacenter may
-                // vote immediately.
-                const paxos::PrepareReply reply =
-                    acceptors_[static_cast<size_t>(peer)].OnPrepare(req);
-                network_->Send(peer, coord, [this, coord, gen, peer, reply]() {
-                  if (!Alive(coord, gen)) return;
-                  replicator_->OnPrepareReply(peer, reply);
-                });
-              });
-        });
-      },
-      /*send_accept=*/
-      [this, coord](DcId peer, const paxos::AcceptRequest& req) {
-        const uint64_t gen = state(coord).gen;
-        network_->Send(coord, peer, [this, coord, peer, gen, req]() {
-          if (state(peer).down) return;
-          replica(peer).service.Submit(
-              config_.service.log_message, [this, coord, peer, gen, req]() {
-                if (state(peer).down) return;
-                const paxos::AcceptReply reply =
-                    acceptors_[static_cast<size_t>(peer)].OnAccept(req);
-                network_->Send(peer, coord, [this, coord, gen, peer, reply]() {
-                  if (!Alive(coord, gen)) return;
-                  // Processing the vote occupies the coordinator.
-                  replica(coord).service.Charge(config_.service.log_message);
-                  replicator_->OnAcceptReply(peer, reply);
-                });
-              });
-        });
-      });
+  const uint64_t gen = state(coord).gen;
+  const int majority = config_.num_datacenters / 2 + 1;
+  struct Round {
+    int votes = 1;  // The coordinator's own.
+    std::function<void()> chosen;
+  };
+  auto round = std::make_shared<Round>();
+  round->chosen = std::move(chosen);
+  if (round->votes == majority) std::exchange(round->chosen, nullptr)();
+  for (DcId peer = 0; peer < config_.num_datacenters; ++peer) {
+    if (peer == coord) continue;
+    network_->Send(coord, peer, [this, coord, peer, gen, majority, round]() {
+      if (state(peer).down) return;
+      replica(peer).service.Submit(
+          config_.service.log_message,
+          [this, coord, peer, gen, majority, round]() {
+            if (state(peer).down) return;
+            network_->Send(peer, coord, [this, coord, gen, majority, round]() {
+              if (!Alive(coord, gen)) return;
+              // Processing the vote occupies the coordinator.
+              replica(coord).service.Charge(config_.service.log_message);
+              if (++round->votes == majority) {
+                std::exchange(round->chosen, nullptr)();
+              }
+            });
+          });
+    });
+  }
 }
 
 void TwoPcPaxosCluster::OnCrash(DcId dc) {
@@ -84,7 +77,6 @@ void TwoPcPaxosCluster::OnCrash(DcId dc) {
   doomed_.clear();
   committing_.clear();
   txn_start_ts_.clear();
-  replicator_ = MakeReplicator();
 }
 
 std::vector<DcId> TwoPcPaxosCluster::CatchupSources(DcId dc) const {
@@ -237,28 +229,25 @@ void TwoPcPaxosCluster::CoordinatorCommit(DcId home, const TxnId& txn,
           FinishAtCoordinator(home, txn, body, false, done);
           return;
         }
-        // Locks held and reads valid: replicate through Paxos to a
-        // majority before acknowledging the commit (Spanner-style
-        // durability of the commit record).
+        // Locks held and reads valid: replicate to a majority before
+        // acknowledging the commit (Spanner-style durability of the commit
+        // record).
         auto decided = std::make_shared<bool>(false);
         const uint64_t gen = state(coordinator_).gen;
-        replicator_->Replicate(
-            txn.ToString(),
-            [this, home, txn, body, done, decided, gen](
-                paxos::SlotId, const paxos::PaxosValue&) {
-              if (*decided) return;
-              *decided = true;
-              replica(coordinator_).service.Submit(
-                  config_.service.commit_request,
-                  [this, home, txn, body, done, gen]() {
-                    if (!Alive(coordinator_, gen)) return;
-                    // The transaction may have been wounded or abandoned
-                    // (and its locks released) while the Paxos round was in
-                    // flight; it must abort in that case or a conflicting
-                    // transaction could slip through its released locks.
-                    FinishAtCoordinator(home, txn, body, !Doomed(txn), done);
-                  });
-            });
+        ReplicateToMajority([this, home, txn, body, done, decided, gen]() {
+          if (*decided) return;
+          *decided = true;
+          replica(coordinator_).service.Submit(
+              config_.service.commit_request,
+              [this, home, txn, body, done, gen]() {
+                if (!Alive(coordinator_, gen)) return;
+                // The transaction may have been wounded or abandoned (and
+                // its locks released) while the accept round was in
+                // flight; it must abort in that case or a conflicting
+                // transaction could slip through its released locks.
+                FinishAtCoordinator(home, txn, body, !Doomed(txn), done);
+              });
+        });
         scheduler_->After(kDecisionTimeout,
                           [this, home, txn, body, done, decided, gen]() {
                             if (*decided) return;

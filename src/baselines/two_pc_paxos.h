@@ -6,8 +6,10 @@
 //     read until after commit — the long lock spans are what drive this
 //     protocol's high abort rate in Figure 3(c).
 //   - Commit is routed to the coordinator, which acquires write locks,
-//     validates the read locks, then replicates the transaction through
-//     leader-lease Paxos to a majority of datacenters before answering.
+//     validates the read locks, then replicates the transaction to a
+//     majority of datacenters before answering. The coordinator holds a
+//     Paxos leader lease ("so that it will not need to go through the
+//     leader election phase"), so replication is one accept round.
 //   - Deadlocks are prevented with wound-wait (the paper aborts deadlocked
 //     transactions immediately).
 //
@@ -20,12 +22,12 @@
 #ifndef HELIOS_BASELINES_TWO_PC_PAXOS_H_
 #define HELIOS_BASELINES_TWO_PC_PAXOS_H_
 
+#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "baselines/replica_cluster.h"
-#include "paxos/paxos.h"
 #include "store/lock_table.h"
 
 namespace helios::baselines {
@@ -52,17 +54,16 @@ class TwoPcPaxosCluster : public ReplicaCluster {
   void ExportMetrics(obs::MetricsRegistry* registry) const override;
 
  private:
-  /// At the coordinator a crash also loses the lock table, the wound
-  /// bookkeeping and the replicator. Paxos acceptor state is NOT reset
-  /// anywhere: an acceptor's promises are durable by the protocol's own
-  /// contract, exactly like the journal.
+  /// At the coordinator a crash also loses the lock table and the wound
+  /// bookkeeping.
   void OnCrash(DcId dc) override;
   /// The coordinator first: it journals every decision at decision time,
   /// so its journal is complete; a replica's may trail by in-flight
   /// learner messages.
   std::vector<DcId> CatchupSources(DcId dc) const override;
 
-  /// Async sequential write-lock acquisition, then validation, then Paxos.
+  /// Async sequential write-lock acquisition, then validation, then the
+  /// accept round.
   void CoordinatorCommit(DcId home, const TxnId& txn, TxnBodyPtr body,
                          CommitCallback done);
   void AcquireWriteLocks(const TxnId& txn, Timestamp start_ts, TxnBodyPtr body,
@@ -71,20 +72,20 @@ class TwoPcPaxosCluster : public ReplicaCluster {
                      const TxnBody& body);
   void FinishAtCoordinator(DcId home, const TxnId& txn, TxnBodyPtr body,
                            bool commit, CommitCallback done);
+  /// The accept round the lease leaves of Paxos: the coordinator's own
+  /// vote counts at once, each peer votes after its log-message service
+  /// time, and `chosen` runs once, when a majority (n / 2 + 1) has voted.
+  /// A reply raised against an earlier coordinator generation is dropped;
+  /// every other reply occupies the coordinator, late ones included.
+  void ReplicateToMajority(std::function<void()> chosen);
 
   bool Doomed(const TxnId& txn) const { return doomed_.count(txn) > 0; }
 
   /// Fresh coordinator-side lock table whose wound handler dooms victims.
   std::unique_ptr<LockTable> MakeLockTable();
-  /// Builds the coordinator-side Paxos replicator. Every send closure
-  /// snapshots the coordinator's generation so replies raised against a
-  /// pre-crash replicator are dropped instead of reaching its successor.
-  std::unique_ptr<paxos::Replicator> MakeReplicator();
 
   const DcId coordinator_;
-  std::unique_ptr<LockTable> lock_table_;          ///< At the coordinator.
-  std::vector<paxos::Acceptor> acceptors_;         ///< One per datacenter.
-  std::unique_ptr<paxos::Replicator> replicator_;  ///< At the coordinator.
+  std::unique_ptr<LockTable> lock_table_;  ///< At the coordinator.
   /// Wounded transactions, and abandoned ones whose commit is in flight.
   std::unordered_set<TxnId, TxnIdHash> doomed_;
   /// Commits the coordinator has started and not yet finished.

@@ -19,7 +19,7 @@ namespace helios::core {
 ///  - the commit-offset matrix, if present, is n x n with a zero diagonal
 ///    and satisfies Rule 1 (co[a][b] + co[b][a] >= 0 for every pair);
 ///  - fault_tolerance is in [0, n-1] and, with f > 0, grace_time > 0;
-///  - log_interval > 0, gc_interval != 0 is not required (<= 0 disables);
+///  - log_interval > 0;
 ///  - clock_offsets, if present, has one entry per datacenter.
 /// Returns OK or a kInvalidArgument / kFailedPrecondition describing the
 /// first problem found.

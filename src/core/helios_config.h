@@ -58,8 +58,8 @@ struct HeliosConfig {
   /// One-way latency between a client and its home datacenter.
   Duration client_link_one_way = Micros(500);
 
-  /// Period of log / store garbage collection. <= 0 disables GC.
-  Duration gc_interval = Millis(500);
+  /// Period of log / store garbage collection.
+  static constexpr Duration gc_interval = Millis(500);
 
   /// The simulator's cost model (Fig. 4's plateau); the live path ignores
   /// it.

@@ -89,9 +89,7 @@ void HeliosNode::Start() {
       config_.log_interval * id_ / std::max(1, config_.num_datacenters);
   scheduler_->After(config_.log_interval + stagger,
                     Guarded([this]() { SendToAllPeers(); }));
-  if (config_.gc_interval > 0) {
-    scheduler_->After(config_.gc_interval, Guarded([this]() { RunGc(); }));
-  }
+  scheduler_->After(HeliosConfig::gc_interval, Guarded([this]() { RunGc(); }));
 }
 
 // --- Client-facing handlers -------------------------------------------------
@@ -1137,7 +1135,7 @@ void HeliosNode::RunGc() {
     // write off the event schedule (bit-identity of crash-free runs).
     if (wal_ != nullptr) CheckJournaled(wal_->AppendTimetable(log_.table()));
   }
-  scheduler_->After(config_.gc_interval, Guarded([this]() { RunGc(); }));
+  scheduler_->After(HeliosConfig::gc_interval, Guarded([this]() { RunGc(); }));
 }
 
 void HeliosNode::MergeRefusals(const std::vector<Refusal>& refusals) {

@@ -447,45 +447,4 @@ Result<ExperimentSpec> ExperimentSpec::FromJson(const std::string& json) {
   return spec;
 }
 
-bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
-  auto estimates_equal = [&] {
-    if (a.rtt_estimate_ms.has_value() != b.rtt_estimate_ms.has_value()) {
-      return false;
-    }
-    if (!a.rtt_estimate_ms.has_value()) return true;
-    if (a.rtt_estimate_ms->size() != b.rtt_estimate_ms->size()) return false;
-    for (int i = 0; i < a.rtt_estimate_ms->size(); ++i) {
-      for (int j = i + 1; j < a.rtt_estimate_ms->size(); ++j) {
-        if (a.rtt_estimate_ms->Get(i, j) != b.rtt_estimate_ms->Get(i, j)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  return a.label == b.label && a.protocol == b.protocol &&
-         a.topology == b.topology && a.uniform_dcs == b.uniform_dcs &&
-         a.uniform_rtt_ms == b.uniform_rtt_ms &&
-         a.uniform_stddev_ms == b.uniform_stddev_ms &&
-         a.clients == b.clients && a.warmup == b.warmup &&
-         a.measure == b.measure && a.drain == b.drain && a.seed == b.seed &&
-         a.ops_per_txn == b.ops_per_txn &&
-         a.write_fraction == b.write_fraction && a.num_keys == b.num_keys &&
-         a.zipf_theta == b.zipf_theta && a.value_size == b.value_size &&
-         a.read_only_fraction == b.read_only_fraction &&
-         a.log_interval == b.log_interval && a.grace_time == b.grace_time &&
-         a.client_link_one_way == b.client_link_one_way &&
-         a.clock_offsets == b.clock_offsets &&
-         a.two_pc_coordinator == b.two_pc_coordinator &&
-         a.shards == b.shards && a.shard_by == b.shard_by &&
-         a.preload == b.preload &&
-         a.check_serializability == b.check_serializability &&
-         a.fault_plan == b.fault_plan &&
-         a.client_timeout == b.client_timeout &&
-         a.client_retries == b.client_retries &&
-         a.trace_enabled == b.trace_enabled &&
-         a.trace_ring_capacity == b.trace_ring_capacity &&
-         a.health_enabled == b.health_enabled && estimates_equal();
-}
-
 }  // namespace helios::harness

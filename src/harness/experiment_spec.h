@@ -215,7 +215,8 @@ struct ExperimentSpec {
   /// call Validate() before running.
   static Result<ExperimentSpec> FromJson(const std::string& json);
 
-  friend bool operator==(const ExperimentSpec& a, const ExperimentSpec& b);
+  friend bool operator==(const ExperimentSpec& a,
+                         const ExperimentSpec& b) = default;
 };
 
 }  // namespace helios::harness

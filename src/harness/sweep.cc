@@ -188,15 +188,9 @@ SweepResult SweepRunner::Run(const std::vector<ExperimentSpec>& specs) {
   }
 
   const Clock::time_point start = Clock::now();
-  std::mutex progress_mu;  // Serializes progress state, callback, metrics.
+  std::mutex progress_mu;  // Serializes progress state and the callback.
   int done = 0;
   int failed = 0;
-
-  if (options_.metrics != nullptr) {
-    options_.metrics->gauge("sweep.jobs_total").Set(total);
-    options_.metrics->gauge("sweep.jobs_done").Set(0);
-    options_.metrics->gauge("sweep.jobs_failed").Set(0);
-  }
 
   {
     JobPool pool(options_.jobs);
@@ -229,7 +223,7 @@ SweepResult SweepRunner::Run(const std::vector<ExperimentSpec>& specs) {
           ++done;
           if (!st.ok()) {
             ++failed;
-            if (options_.cancel_on_failure) pool.Cancel();
+            pool.Cancel();
           }
           p.done = done;
           p.total = total;
@@ -241,13 +235,6 @@ SweepResult SweepRunner::Run(const std::vector<ExperimentSpec>& specs) {
                        : 0.0;
           p.last_label = out.spec.DisplayName();
           p.last_status = st;
-          if (options_.metrics != nullptr) {
-            options_.metrics->gauge("sweep.jobs_done").Set(done);
-            options_.metrics->gauge("sweep.jobs_failed").Set(failed);
-            options_.metrics->gauge("sweep.elapsed_seconds")
-                .Set(p.elapsed_seconds);
-            options_.metrics->gauge("sweep.eta_seconds").Set(p.eta_seconds);
-          }
           if (options_.progress) options_.progress(p);
         }
       });

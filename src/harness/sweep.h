@@ -8,14 +8,11 @@
 // (sweep_engine_test.cc, SerialAndParallelRunsAreBitIdentical).
 //
 // Failure policy: a job fails if its spec does not validate or if its
-// requested serializability check finds a violation. By default the first
-// failure cancels every job still queued (running jobs finish); the sweep
-// then reports which jobs ran, failed, or were cancelled.
+// requested serializability check finds a violation. The first failure
+// cancels every job still queued (running jobs finish); the sweep then
+// reports which jobs ran, failed, or were cancelled.
 //
-// Progress: an optional callback fires after every job (serialized), and
-// an optional obs::MetricsRegistry receives sweep.jobs_total/done/failed
-// gauges plus elapsed/ETA seconds — the same registry surface the rest of
-// the system exports through.
+// Progress: an optional callback fires after every job (serialized).
 
 #ifndef HELIOS_HARNESS_SWEEP_H_
 #define HELIOS_HARNESS_SWEEP_H_
@@ -27,7 +24,6 @@
 #include "common/status.h"
 #include "harness/experiment.h"
 #include "harness/experiment_spec.h"
-#include "obs/metrics.h"
 
 namespace helios::harness {
 
@@ -44,14 +40,9 @@ struct SweepProgress {
 struct SweepOptions {
   /// Worker threads; <= 0 means hardware concurrency.
   int jobs = 1;
-  /// Cancel all still-queued jobs after the first failure.
-  bool cancel_on_failure = true;
   /// Called after each job completes. Invocations are serialized; keep it
   /// cheap (it runs on a worker thread while siblings may be blocked).
   std::function<void(const SweepProgress&)> progress;
-  /// Optional registry for sweep.* gauges (not owned; updated under the
-  /// same lock that serializes `progress`).
-  obs::MetricsRegistry* metrics = nullptr;
 
   /// Adjusts the materialized config after spec validation and before the
   /// run (runs on a worker thread; must be thread-safe). The fuzz driver
@@ -61,9 +52,9 @@ struct SweepOptions {
 
   /// Post-run check, called for jobs whose experiment ran and passed the
   /// built-in checks (runs on a worker thread; must be thread-safe). A
-  /// non-OK status fails the job — with cancel_on_failure this cancels the
-  /// rest of the sweep. The callee may free heavy result fields (capture,
-  /// trace) it has finished with.
+  /// non-OK status fails the job, which cancels the rest of the sweep.
+  /// The callee may free heavy result fields (capture, trace) it has
+  /// finished with.
   std::function<Status(const ExperimentSpec&, ExperimentResult*)> check;
 };
 

@@ -41,6 +41,8 @@ class RttMatrix {
     return out;
   }
 
+  friend bool operator==(const RttMatrix& a, const RttMatrix& b) = default;
+
  private:
   int n_;
   std::vector<double> rtt_;

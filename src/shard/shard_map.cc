@@ -6,10 +6,6 @@
 namespace helios::shard {
 namespace {
 
-const char* KindToken(ShardMap::Kind kind) {
-  return kind == ShardMap::Kind::kHash ? "hash" : "range";
-}
-
 uint64_t Fnv1a64(const Key& key) {
   uint64_t h = 1469598103934665603ULL;
   for (const char c : key) {
@@ -100,85 +96,6 @@ Status ShardMap::Validate() const {
     }
   }
   return Status::Ok();
-}
-
-std::string ShardMap::ToJson() const {
-  std::string out;
-  json::ObjectWriter obj(&out);
-  if (kind_ == Kind::kRange) {
-    std::string arr = "[";
-    for (size_t i = 0; i < boundaries_.size(); ++i) {
-      if (i > 0) arr += ",";
-      json::AppendEscaped(&arr, boundaries_[i]);
-    }
-    arr += "]";
-    obj.Raw("boundaries", arr);
-  }
-  obj.Field("kind", std::string(KindToken(kind_)));
-  obj.Field("shards", static_cast<int64_t>(num_shards_));
-  obj.Close();
-  return out;
-}
-
-Result<ShardMap> ShardMap::FromJsonValue(const json::Value& value) {
-  if (value.kind != json::Value::Kind::kObject) {
-    return Status::InvalidArgument("shard map JSON must be an object");
-  }
-  ShardMap map;
-  bool saw_kind = false;
-  bool saw_boundaries = false;
-  for (const auto& [key, v] : value.members) {
-    Status st;
-    if (key == "boundaries") {
-      if (v.kind != json::Value::Kind::kArray) {
-        st = json::WrongType(key, "an array of strings");
-      } else {
-        saw_boundaries = true;
-        map.boundaries_.clear();
-        for (const json::Value& item : v.items) {
-          Key boundary;
-          st = json::ReadString(key, item, &boundary);
-          if (!st.ok()) break;
-          map.boundaries_.push_back(std::move(boundary));
-        }
-      }
-    } else if (key == "kind") {
-      std::string token;
-      st = json::ReadString(key, v, &token);
-      if (st.ok()) {
-        saw_kind = true;
-        if (token == "hash") {
-          map.kind_ = Kind::kHash;
-        } else if (token == "range") {
-          map.kind_ = Kind::kRange;
-        } else {
-          st = Status::InvalidArgument("unknown shard map kind '" + token +
-                                       "' (expected hash|range)");
-        }
-      }
-    } else if (key == "shards") {
-      st = json::ReadInt(key, v, &map.num_shards_);
-    } else {
-      st = Status::InvalidArgument("unknown shard map key '" + key + "'");
-    }
-    if (!st.ok()) return st;
-  }
-  if (!saw_kind) {
-    return Status::InvalidArgument("shard map JSON is missing 'kind'");
-  }
-  if (saw_boundaries && map.kind_ == Kind::kHash) {
-    return Status::InvalidArgument(
-        "hash shard map must not carry range boundaries");
-  }
-  Status st = map.Validate();
-  if (!st.ok()) return st;
-  return map;
-}
-
-Result<ShardMap> ShardMap::FromJson(const std::string& json) {
-  auto parsed = json::Parse(json);
-  if (!parsed.ok()) return parsed.status();
-  return FromJsonValue(parsed.value());
 }
 
 }  // namespace helios::shard

@@ -10,10 +10,6 @@
 //          boundary[i]) with open ends — preserves locality, so a
 //          workload over disjoint key ranges touches one shard per
 //          transaction (the bench's disjoint-partition scaling leg).
-//
-// The JSON form round-trips strictly (unknown keys rejected, keys written
-// in alphabetical order), matching the ExperimentSpec / ClusterSpec
-// conventions.
 
 #ifndef HELIOS_SHARD_SHARD_MAP_H_
 #define HELIOS_SHARD_SHARD_MAP_H_
@@ -21,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -57,10 +52,6 @@ class ShardMap {
   /// empty first boundary would leave shard 0 an empty partition, and
   /// equal neighbours would overlap).
   Status Validate() const;
-
-  std::string ToJson() const;
-  static Result<ShardMap> FromJson(const std::string& json);
-  static Result<ShardMap> FromJsonValue(const json::Value& value);
 
   friend bool operator==(const ShardMap& a, const ShardMap& b) {
     return a.kind_ == b.kind_ && a.num_shards_ == b.num_shards_ &&

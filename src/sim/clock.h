@@ -2,9 +2,9 @@
 //
 // Helios requires no clock synchronization for correctness, but its
 // performance depends on the degree of synchronization (paper Section A.1,
-// Figure 5). The `Clock` lets experiments inject a fixed offset (and an
-// optional drift rate) per datacenter, reproducing the paper's "+100ms at
-// Virginia" style scenarios.
+// Figure 5). The `Clock` lets experiments inject a fixed offset per
+// datacenter, reproducing the paper's "+100ms at Virginia" style
+// scenarios.
 
 #ifndef HELIOS_SIM_CLOCK_H_
 #define HELIOS_SIM_CLOCK_H_
@@ -16,23 +16,17 @@ namespace helios::sim {
 
 /// A datacenter-local clock derived from the simulated true time.
 ///
-/// `Now()` returns true_time + offset + drift*true_time. `NowUnique()`
-/// additionally guarantees strictly increasing readings, which the
-/// replicated log requires for per-origin record ordering.
+/// `Now()` returns true_time + offset. `NowUnique()` additionally
+/// guarantees strictly increasing readings, which the replicated log
+/// requires for per-origin record ordering.
 class Clock {
  public:
   /// `scheduler` must outlive the clock.
-  explicit Clock(const Scheduler* scheduler, Duration offset = 0,
-                 double drift_ppm = 0.0)
-      : scheduler_(scheduler), offset_(offset), drift_ppm_(drift_ppm) {}
+  explicit Clock(const Scheduler* scheduler, Duration offset = 0)
+      : scheduler_(scheduler), offset_(offset) {}
 
   /// Current local-clock reading.
-  Timestamp Now() const {
-    const SimTime t = scheduler_->Now();
-    const Timestamp drift =
-        static_cast<Timestamp>(drift_ppm_ * 1e-6 * static_cast<double>(t));
-    return t + offset_ + drift;
-  }
+  Timestamp Now() const { return scheduler_->Now() + offset_; }
 
   /// Strictly increasing local-clock reading: max(Now(), last + 1).
   Timestamp NowUnique() {
@@ -58,12 +52,10 @@ class Clock {
   /// skew-injection experiments.
   void set_offset(Duration offset) { offset_ = offset; }
   Duration offset() const { return offset_; }
-  double drift_ppm() const { return drift_ppm_; }
 
  private:
   const Scheduler* scheduler_;
   Duration offset_;
-  double drift_ppm_;
   Timestamp last_unique_ = kMinTimestamp;
 };
 

@@ -1,6 +1,7 @@
 // Integration tests for the comparison baselines of Section 5.2:
 // Replicated Commit (majority locking + accept round) and 2PC/Paxos
-// (coordinator 2PL + leader-lease Paxos replication).
+// (coordinator 2PL + one accept round to a majority under the leader
+// lease).
 
 #include <gtest/gtest.h>
 
@@ -173,8 +174,11 @@ TEST(ReplicatedCommitTest, StaleReadValidationFails) {
   EXPECT_FALSE(t2->outcome.committed);
 }
 
-TEST(ReplicatedCommitTest, ToleratesTwoOutagesOfFive) {
-  auto rig = MakeRig(5, Millis(50), /*two_pc=*/false);
+// Two of five datacenters crashed: the home datacenter (2PC's
+// coordinator, dc 0) and two live peers are a majority, so the commit
+// succeeds.
+void ExpectToleratesTwoOutagesOfFive(bool two_pc) {
+  auto rig = MakeRig(5, Millis(50), two_pc);
   rig->network->CrashNode(3);
   rig->network->CrashNode(4);
   auto txn = std::make_shared<TxnDriver>(rig.get(), 0);
@@ -186,8 +190,11 @@ TEST(ReplicatedCommitTest, ToleratesTwoOutagesOfFive) {
   EXPECT_TRUE(txn->outcome.committed);
 }
 
-TEST(ReplicatedCommitTest, AbortsWhenMajorityUnreachable) {
-  auto rig = MakeRig(5, Millis(50), /*two_pc=*/false);
+// Three of five crashed: no majority can vote, so the commit aborts when
+// the baseline's decision timeout fires (5 s for Replicated Commit, 10 s
+// for 2PC/Paxos), inside the 20 s run.
+void ExpectAbortsWhenMajorityUnreachable(bool two_pc) {
+  auto rig = MakeRig(5, Millis(50), two_pc);
   rig->network->CrashNode(2);
   rig->network->CrashNode(3);
   rig->network->CrashNode(4);
@@ -196,6 +203,22 @@ TEST(ReplicatedCommitTest, AbortsWhenMajorityUnreachable) {
   rig->scheduler.RunUntil(Seconds(20));
   ASSERT_TRUE(txn->done);  // The decision timeout fires.
   EXPECT_FALSE(txn->outcome.committed);
+}
+
+TEST(ReplicatedCommitTest, ToleratesTwoOutagesOfFive) {
+  ExpectToleratesTwoOutagesOfFive(/*two_pc=*/false);
+}
+
+TEST(ReplicatedCommitTest, AbortsWhenMajorityUnreachable) {
+  ExpectAbortsWhenMajorityUnreachable(/*two_pc=*/false);
+}
+
+TEST(TwoPcPaxosTest, ToleratesTwoOutagesOfFive) {
+  ExpectToleratesTwoOutagesOfFive(/*two_pc=*/true);
+}
+
+TEST(TwoPcPaxosTest, AbortsWhenMajorityUnreachable) {
+  ExpectAbortsWhenMajorityUnreachable(/*two_pc=*/true);
 }
 
 // --- 2PC/Paxos -----------------------------------------------------------------
@@ -210,6 +233,25 @@ TEST(TwoPcPaxosTest, CommitLatencyIncludesCoordinatorAndPaxos) {
   // Client->coordinator (50) + Paxos majority RTT (100) + back (50).
   EXPECT_GE(txn->commit_latency, Millis(200));
   EXPECT_LE(txn->commit_latency, Millis(215));
+}
+
+// Under the leader lease replication is the accept round alone: one round
+// trip to the coordinator's closest majority, with no prepare round
+// before it. Coordinator 0's peers sit at 40, 80, 200 and 300 ms, so the
+// majority (itself + 2) is in after 80 ms; a prepare round would double
+// that.
+TEST(ReplicatorTest, LeaseReplicationTakesOneRoundTrip) {
+  auto rig = MakeRig(5, Millis(400), /*two_pc=*/true, /*coordinator=*/0);
+  rig->network->SetRtt(0, 1, Millis(40), 0);
+  rig->network->SetRtt(0, 2, Millis(80), 0);
+  rig->network->SetRtt(0, 3, Millis(200), 0);
+  rig->network->SetRtt(0, 4, Millis(300), 0);
+  auto txn = std::make_shared<TxnDriver>(rig.get(), 0);
+  rig->scheduler.At(Millis(10), [txn] { txn->Commit({{"x", "v"}}); });
+  rig->scheduler.RunUntil(Seconds(10));
+  ASSERT_TRUE(txn->done && txn->outcome.committed);
+  EXPECT_GE(txn->commit_latency, Millis(80));
+  EXPECT_LT(txn->commit_latency, Millis(85));  // Plus service times only.
 }
 
 TEST(TwoPcPaxosTest, CoordinatorLocalClientIsFast) {

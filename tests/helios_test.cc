@@ -1128,9 +1128,7 @@ TEST(HeliosTimestampTest, CommitRightAfterALongStallIsNotRefused) {
 TEST(HeliosGcTest, LogsAndRefusalsDoNotGrowUnboundedly) {
   ContentionOptions opt;
   opt.run_for = Seconds(10);
-  HeliosConfig cfg = BaseConfig(opt.num_dcs);
-  cfg.gc_interval = Millis(200);
-  auto rig = MakeUniformRig(opt.num_dcs, opt.rtt, std::move(cfg));
+  auto rig = MakeUniformRig(opt.num_dcs, opt.rtt, BaseConfig(opt.num_dcs));
   RunContentionWorkload(*rig, opt);
   for (DcId dc = 0; dc < opt.num_dcs; ++dc) {
     // After quiescing, everything is universally known and GC'd.

@@ -134,15 +134,6 @@ TEST(ClockTest, NowUniqueStrictlyIncreasing) {
   }
 }
 
-TEST(ClockTest, DriftAccumulates) {
-  Scheduler s;
-  Clock c(&s, 0, /*drift_ppm=*/100.0);  // 100us per second.
-  s.At(Seconds(10), [&] {
-    EXPECT_NEAR(static_cast<double>(c.Now() - s.Now()), 1000.0, 1.0);
-  });
-  s.Run();
-}
-
 TEST(NetworkTest, DeliversWithConfiguredLatency) {
   Scheduler s;
   Network net(&s, 2, /*seed=*/1);

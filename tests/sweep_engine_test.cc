@@ -16,7 +16,6 @@
 #include "harness/experiment_spec.h"
 #include "harness/job_pool.h"
 #include "harness/sweep.h"
-#include "obs/metrics.h"
 #include "json_check.h"
 
 namespace helios::harness {
@@ -141,6 +140,17 @@ TEST(SpecJsonTest, DefaultSpecRoundTrips) {
   const auto reparsed = ExperimentSpec::FromJson(original.ToJson());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_TRUE(reparsed.value() == original);
+}
+
+// Equality covers every field: key_partitions alone tells two specs apart,
+// and it survives the round trip.
+TEST(SpecJsonTest, KeyPartitionsRoundTripsAndTellsSpecsApart) {
+  const ExperimentSpec original = ExperimentSpec().WithKeyPartitions(4);
+  EXPECT_FALSE(original == ExperimentSpec());
+  const auto reparsed = ExperimentSpec::FromJson(original.ToJson());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_TRUE(reparsed.value() == original);
+  EXPECT_EQ(reparsed.value().key_partitions, 4);
 }
 
 TEST(SpecJsonTest, MissingKeysKeepDefaults) {
@@ -328,29 +338,7 @@ TEST(SweepRunnerTest, FirstFailureCancelsQueuedJobs) {
       << r.status().ToString();
 }
 
-TEST(SweepRunnerTest, CancelOnFailureCanBeDisabled) {
-  std::vector<ExperimentSpec> specs;
-  specs.push_back(ExperimentSpec().WithClients(0).WithLabel("bad"));
-  specs.push_back(ExperimentSpec()
-                      .WithClients(5)
-                      .WithWarmup(Millis(100))
-                      .WithMeasure(Millis(500))
-                      .WithDrain(Millis(200))
-                      .WithNumKeys(100)
-                      .WithLabel("good"));
-  SweepOptions options;
-  options.jobs = 1;
-  options.cancel_on_failure = false;
-  const SweepResult r = SweepRunner(options).Run(specs);
-  EXPECT_FALSE(r.status().ok());
-  EXPECT_FALSE(r.cancelled);
-  EXPECT_TRUE(r.jobs[0].ran);
-  EXPECT_FALSE(r.jobs[0].status.ok());
-  EXPECT_TRUE(r.jobs[1].ran);
-  EXPECT_TRUE(r.jobs[1].status.ok());
-}
-
-// --- Progress and metrics ----------------------------------------------
+// --- Progress ----------------------------------------------------------
 
 TEST(SweepRunnerTest, ProgressAndMetricsReportEveryJob) {
   std::vector<ExperimentSpec> specs;
@@ -363,12 +351,10 @@ TEST(SweepRunnerTest, ProgressAndMetricsReportEveryJob) {
                         .WithNumKeys(100)
                         .WithSeed(DeriveSeed(1, i)));
   }
-  obs::MetricsRegistry metrics;
   std::mutex mu;
   std::vector<int> done_values;
   SweepOptions options;
   options.jobs = 2;
-  options.metrics = &metrics;
   options.progress = [&](const SweepProgress& p) {
     std::lock_guard<std::mutex> lock(mu);
     done_values.push_back(p.done);
@@ -380,10 +366,6 @@ TEST(SweepRunnerTest, ProgressAndMetricsReportEveryJob) {
   ASSERT_EQ(done_values.size(), 4u);
   // The callback is serialized, so `done` counts straight up 1..4.
   for (int i = 0; i < 4; ++i) EXPECT_EQ(done_values[i], i + 1);
-  EXPECT_EQ(metrics.gauge("sweep.jobs_total").value(), 4.0);
-  EXPECT_EQ(metrics.gauge("sweep.jobs_done").value(), 4.0);
-  EXPECT_EQ(metrics.gauge("sweep.jobs_failed").value(), 0.0);
-  EXPECT_GE(metrics.gauge("sweep.elapsed_seconds").value(), 0.0);
 }
 
 // --- Bench scale parsing -----------------------------------------------

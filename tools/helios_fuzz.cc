@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
 
   hns::SweepOptions sweep_options;
   sweep_options.jobs = jobs;
-  sweep_options.cancel_on_failure = true;
   sweep_options.configure = [](const hns::ExperimentSpec&,
                                hns::ExperimentConfig* config) {
     check::ConfigureForChecking(config);

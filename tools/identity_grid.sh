@@ -12,6 +12,9 @@
 #   grid.json        all 7 protocols, seeds 1,2, 20 clients, 1 s + 3 s
 #   crash.json       the recovery-smoke crash grid: DC1 down 2 s..4 s,
 #                    client timeouts, serializability checked
+#   crash-coordinator.json
+#                    2pc with its coordinator, DC0, down 2 s..4 s: the
+#                    coordinator restart and replies that arrive after it
 #   loss.json        helios1/rc/2pc at 0% and 5% loss with 5% duplication,
 #                    client timeouts on
 #   shards.json      helios1/helios2 over 2 range shards
@@ -57,6 +60,10 @@ run_grid grid --protocols="$all" --seeds=1,2 --clients=20 \
 
 run_grid crash --protocols="$all" --clients=10 --warmup_s=1 --measure_s=4 \
   --keys=500 --crash=1:2000:4000 --client_timeout_us=2000000 \
+  --client_retries=10 --check_serializability
+
+run_grid crash-coordinator --protocols=2pc --clients=10 --warmup_s=1 \
+  --measure_s=4 --keys=500 --crash=0:2000:4000 --client_timeout_us=2000000 \
   --client_retries=10 --check_serializability
 
 run_grid loss --protocols=helios1,rc,2pc --losses=0,0.05 --dup=0.05 \
